@@ -12,10 +12,16 @@ structural facts of the continuous flow survive discretization exactly:
 * per-component mass monotonicity (the coupling only ever removes mass,
   at the pointwise rate d|u1|^2/dt = d|u2|^2/dt = -2 |u1|^2 |u2|^2).
 
+The decay solve is one branch-free closed form, valid from exact ties to
+widely separated moduli and over the whole float64 range.  `evolve` is a
+single loop over the stacked (2, n) pair: one FFT call per direction moves
+both components, two transforms per step without an observer and three
+with one; `strang_step` is one step of the same code.
+
 Multiplying each equation by its conjugate and integrating gives the mass
 ledger d/dt (M1 + M2) = -4 * integral |u1|^2 |u2|^2 dx, which `evolve`
 monitors; a mass increase beyond round-off or any non-finite sample aborts
-the run.
+the run, naming the step and time.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .spectral import (
     ComplexField,
     Grid,
     SimulationAbort,
-    free_propagate,
     l2_norm,
     sup_norm,
     j_norm,
@@ -48,6 +53,8 @@ __all__ = [
     "dissipation_rate",
     "TrajectoryRecorder",
 ]
+
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -142,82 +149,123 @@ def make_schedule(
 def _decay_factors(a, b, dt: float):
     """Squared-modulus update of the pointwise decay ODE a' = b' = -2ab.
 
-    The difference c = a - b is conserved; with e = exp(-2 c dt) the larger
-    modulus follows the logistic closed form big(dt) = c*big/(big - small*e)
-    and the smaller one is recovered as big(dt) - c, keeping the conserved
-    difference exact.  Near c = 0 that form cancels catastrophically, so a
-    relative threshold switches to the c = 0 solution a/(1 + 2 a dt).
-    Computing in the (big, small) orientation makes component swap an exact
-    (bitwise) symmetry.  Returns the pair of multiplier ratios
-    (a(dt)/a, b(dt)/b).
+    The difference c = big - small is conserved.  With z = 2 c dt and
+    phi(z) = -expm1(-z)/z (phi(0) = 1) the logistic solution takes the
+    scale-free form
+
+        big(dt)   = big * r,   small(dt) = small * exp(-z) * r,
+        r = 1 / (1 + 2 small dt phi(z)).
+
+    One formula covers every regime, exact and near ties included, so there
+    is no threshold switch.  No product of two squared moduli is formed, so
+    nothing underflows at small magnitudes; both ratios are <= 1 by
+    construction; and because both share r, its rounding moves
+    big(dt) - small(dt) by only c times an ulp.  Each lane's factor
+    exp(-z) or exactly 1 comes from its own signed difference, which makes
+    component swap an exact (bitwise) symmetry and gives a component with a
+    vanishing partner a ratio of exactly 1.  Returns the pair of multiplier
+    ratios (a(dt)/a, b(dt)/b).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    big = np.maximum(a, b)
-    small = np.minimum(a, b)
-    cc = big - small
-    big_pos = big > 0.0
-    small_pos = small > 0.0
-    big_safe = np.where(big_pos, big, 1.0)
-    small_safe = np.where(small_pos, small, 1.0)
-
-    near_tie = cc < 1e-12 * big_safe
-
-    # generic branch: logistic closed form, decaying exponential only
-    decay = np.exp(-2.0 * np.where(near_tie, 0.0, cc) * dt)
-    denom = big_safe - small_safe * np.where(small_pos, decay, 0.0)
-    # tie lanes would divide 0/0 here; they take the other branch below
-    big_new_gen = cc * big_safe / np.where(near_tie, 1.0, denom)
-
-    # near-tie branch: c = 0 solution
-    big_new_tie = big_safe / (1.0 + 2.0 * big_safe * dt)
-
-    big_new = np.where(near_tie, big_new_tie, big_new_gen)
-    small_new = np.maximum(big_new - cc, 0.0)
-
-    ratio_big = np.where(small_pos, big_new / big_safe, 1.0)
-    ratio_small = np.where(big_pos & small_pos, small_new / small_safe, 1.0)
-
-    a_is_big = a >= b
-    ratio_a = np.where(a_is_big, ratio_big, ratio_small)
-    ratio_b = np.where(a_is_big, ratio_small, ratio_big)
+    d = np.subtract(a, b)
+    d *= 2.0 * dt  # +z where a is the larger, -z where it is the smaller
+    ratio_a = np.minimum(d, 0.0)
+    np.exp(ratio_a, out=ratio_a)
+    w = np.abs(d)
+    np.negative(w, out=w)  # w = -z
+    ratio_b = np.maximum(d, 0.0, out=d)
+    np.negative(ratio_b, out=ratio_b)
+    np.exp(ratio_b, out=ratio_b)
+    # below the smallest normal float phi rounds to 1, so clamping -z there
+    # gives phi(0) = 1 without a branch
+    np.minimum(w, -_TINY, out=w)
+    r = np.expm1(w)
+    r /= w
+    r *= np.minimum(a, b, out=w)
+    r *= 2.0 * dt
+    r += 1.0
+    np.reciprocal(r, out=r)
+    ratio_a *= r
+    ratio_b *= r
     return ratio_a, ratio_b
 
 
-def nonlinear_substep(u1_val, u2_val, dt: float):
+def nonlinear_substep(u1_val, u2_val, dt: float, out=None):
     """Exact pointwise flow of du1/dt = -|u2|^2 u1, du2/dt = -|u1|^2 u2.
 
     Accepts scalars or arrays elementwise.  Moduli never grow, phases are
     untouched (the decay coefficients are real), |u1|^2 - |u2|^2 is
-    conserved, and a vanishing partner leaves a component exactly unchanged.
+    conserved to a few ulps of the larger squared modulus at any magnitude,
+    and a vanishing partner leaves a component bitwise unchanged.  `out`, a
+    pair of complex128 arrays, receives the results in place and may be the
+    inputs themselves; `evolve` steps its work buffer that way.  A
+    non-finite squared modulus aborts.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     u1 = np.asarray(u1_val, dtype=np.complex128)
     u2 = np.asarray(u2_val, dtype=np.complex128)
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
-        raise SimulationAbort("non-finite input to nonlinear substep")
-    a = u1.real**2 + u1.imag**2
-    b = u2.real**2 + u2.imag**2
+    a = np.atleast_1d(u1.real * u1.real)
+    a += u1.imag * u1.imag
+    b = np.atleast_1d(u2.real * u2.real)
+    b += u2.imag * u2.imag
+    if not (np.isfinite(a.max()) and np.isfinite(b.max())):
+        raise SimulationAbort("non-finite squared modulus in nonlinear substep")
     ra, rb = _decay_factors(a, b, dt)
-    out1 = u1 * np.sqrt(ra)
-    out2 = u2 * np.sqrt(rb)
-    if out1.ndim == 0:
-        return complex(out1), complex(out2)
-    return out1, out2
+    np.sqrt(ra, out=ra)
+    np.sqrt(rb, out=rb)
+    if out is None:
+        if u1.ndim == 0:
+            return complex(u1 * ra[0]), complex(u2 * rb[0])
+        return u1 * ra, u2 * rb
+    np.multiply(u1, ra, out=out[0])
+    np.multiply(u2, rb, out=out[1])
+    return out[0], out[1]
+
+
+def _half_step(grid: Grid, dt: float) -> np.ndarray:
+    """Free half-step multiplier exp(-i (dt/2) xi^2 / 2) in FFT order."""
+    return np.exp(-0.25j * dt * grid._frequencies_fft_order**2)
+
+
+def _kick(spec: np.ndarray, work: np.ndarray, dt: float) -> None:
+    """Nonlinear substep between two stacked spectra: two transforms.
+
+    `spec` holds the unnormalized FFTs of (u1, u2) as a (2, n) array and is
+    overwritten with the FFTs after the substep; `work` is left holding the
+    space-side result.
+    """
+    np.fft.ifft(spec, out=work)
+    nonlinear_substep(work[0], work[1], dt, out=(work[0], work[1]))
+    np.fft.fft(work, out=spec)
+
+
+def _state_from_spectrum(t: float, grid: Grid, spec: np.ndarray) -> SystemState:
+    """The space-side state whose stacked FFT is `spec`: one transform."""
+    vals = np.fft.ifft(spec)
+    vals.flags.writeable = False  # frozen, so the fields share it uncopied
+    return SystemState(t, ComplexField(grid, vals[0], SPACE), ComplexField(grid, vals[1], SPACE))
+
+
+def _stacked_spectrum(state: SystemState) -> np.ndarray:
+    return np.fft.fft(np.stack([state.u1.values, state.u2.values]))
 
 
 def strang_step(state: SystemState, dt: float) -> SystemState:
-    """One half-free / full-nonlinear / half-free composition step."""
+    """One half-free / full-nonlinear / half-free composition step.
+
+    The same step code `evolve` runs, for a single step: four stacked
+    transforms, since nothing is merged with a neighbouring step.
+    """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
-    g = state.grid
-    v1 = free_propagate(state.u1, 0.5 * dt)
-    v2 = free_propagate(state.u2, 0.5 * dt)
-    w1, w2 = nonlinear_substep(v1.values, v2.values, dt)
-    out1 = free_propagate(ComplexField(g, w1, SPACE), 0.5 * dt)
-    out2 = free_propagate(ComplexField(g, w2, SPACE), 0.5 * dt)
-    return SystemState(state.t + dt, out1, out2)
+    half = _half_step(state.grid, dt)
+    spec = _stacked_spectrum(state)
+    spec *= half
+    _kick(spec, np.empty_like(spec), dt)
+    spec *= half
+    return _state_from_spectrum(state.t + dt, state.grid, spec)
 
 
 def mass(f: ComplexField) -> float:
@@ -287,78 +335,78 @@ def count_steps(schedule: Schedule) -> int:
     )
 
 
+def _masses(u: np.ndarray, dx: float) -> tuple[float, float]:
+    """Masses of the two rows of a stacked (2, n) space-side pair."""
+    flat = u.view(np.float64)
+    m1, m2 = np.vecdot(flat, flat) * dx
+    return float(m1), float(m2)
+
+
 def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[SystemState]:
     """Integrate from state0, returning snapshots at the scheduled times.
 
     Runs are deterministic: identical inputs reproduce outputs bitwise.
-    Without an observer, consecutive free half-steps are merged into full
-    frequency-side multipliers (two transforms per step); with an observer
-    the literal Strang composition is used so the callback sees the exact
-    step-boundary states.  Either way the per-step masses are checked and
-    the run aborts if a component's mass grows by more than 1e-10 of the
-    initial total or any sample goes non-finite.
+    There is one loop.  It holds both components as one stacked (2, n)
+    spectrum, so each transform is a single FFT call for the pair, and it
+    reuses its work buffers.  A step is a free half-step multiplier, the
+    nonlinear substep between an inverse and a forward transform, and
+    another half-step.  Without an observer the half-steps of consecutive
+    steps merge into one full-step multiplier: two transforms per step,
+    plus one per snapshot to return to space.  With an observer every step
+    ends on its boundary state, taken from the spectrum the loop holds:
+    three transforms per step.  The two paths differ by round-off only.
+
+    After every substep the masses are checked; the run aborts if a
+    component's mass grows by more than 1e-10 of the initial total or any
+    sample goes non-finite, and every abort in the loop names the step
+    index and the time it ended at.
     """
     if abs(state0.t - schedule.times[0]) > 1e-12:
         raise ValueError("initial state time must match the first snapshot time")
     g = state0.grid
-    m1 = mass(state0.u1)
-    m2 = mass(state0.u2)
+    spec = _stacked_spectrum(state0)
+    work = np.empty_like(spec)
+    m1, m2 = mass(state0.u1), mass(state0.u2)
     tol = 1e-10 * (m1 + m2)
     snapshots = [state0]
     if observer is not None:
         observer(state0)
 
-    u1 = np.array(state0.u1.values, dtype=np.complex128)
-    u2 = np.array(state0.u2.values, dtype=np.complex128)
-    xi2 = g._frequencies_fft_order**2
-    dx = g.dx
-
-    def check_masses(a1: np.ndarray, a2: np.ndarray) -> None:
-        nonlocal m1, m2
-        new1 = float(np.sum(a1.real**2 + a1.imag**2)) * dx
-        new2 = float(np.sum(a2.real**2 + a2.imag**2)) * dx
-        if not (np.isfinite(new1) and np.isfinite(new2)):
-            raise SimulationAbort("non-finite samples during evolution")
-        if new1 > m1 + tol or new2 > m2 + tol:
-            raise SimulationAbort(
-                f"component mass increased beyond tolerance ({m1}->{new1}, {m2}->{new2})"
-            )
-        m1, m2 = new1, new2
-
-    steps = schedule.snapshot_steps
-    for k_a, k_b in zip(steps, steps[1:]):
+    step = 0
+    ks = schedule.snapshot_steps
+    for k_a, k_b in zip(ks, ks[1:]):
         t_a = k_a * schedule.dt
         t_b = k_b * schedule.dt
         nsteps, h = _interval_plan(t_a, t_b, k_a, k_b, schedule)
-        if observer is None:
-            half = np.exp(-0.25j * h * xi2)
-            full = half * half
-            s1 = half * np.fft.fft(u1)
-            s2 = half * np.fft.fft(u2)
-            for s in range(nsteps):
-                u1 = np.fft.ifft(s1)
-                u2 = np.fft.ifft(s2)
-                u1, u2 = nonlinear_substep(u1, u2, h)
-                # mid-interval states differ from step states by a unitary
-                # half-step, so their masses agree to round-off
-                check_masses(u1, u2)
-                mult = full if s < nsteps - 1 else half
-                s1 = mult * np.fft.fft(u1)
-                s2 = mult * np.fft.fft(u2)
-            u1 = np.fft.ifft(s1)
-            u2 = np.fft.ifft(s2)
-            state = SystemState(
-                t_b, ComplexField(g, u1, SPACE), ComplexField(g, u2, SPACE)
-            )
-        else:
-            state = snapshots[-1]
-            for s in range(nsteps):
-                t_next = t_b if s == nsteps - 1 else t_a + (s + 1) * h
-                stepped = strang_step(state, h)
-                state = SystemState(t_next, stepped.u1, stepped.u2)
-                check_masses(state.u1.values, state.u2.values)
-                observer(state)
-            u1 = np.array(state.u1.values)
-            u2 = np.array(state.u2.values)
+        half = _half_step(g, h)
+        full = half * half
+        spec *= half
+        for s in range(nsteps):
+            step += 1
+            last = s == nsteps - 1
+            t = t_b if last else t_a + (s + 1) * h
+            try:
+                _kick(spec, work, h)
+                # the substep output differs from the step-boundary state by
+                # a unitary half-step, so their masses agree to round-off
+                new1, new2 = _masses(work, g.dx)
+                if not (math.isfinite(new1) and math.isfinite(new2)):
+                    raise SimulationAbort("non-finite samples during evolution")
+                if new1 > m1 + tol or new2 > m2 + tol:
+                    raise SimulationAbort(
+                        f"component mass increased beyond tolerance ({m1}->{new1}, {m2}->{new2})"
+                    )
+                m1, m2 = new1, new2
+                if observer is None and not last:
+                    spec *= full
+                    continue
+                spec *= half
+                state = _state_from_spectrum(t, g, spec)
+                if observer is not None:
+                    observer(state)
+            except SimulationAbort as err:
+                raise SimulationAbort(f"{err} at step {step}, t = {t}") from err
+            if not last:
+                spec *= half
         snapshots.append(state)
     return snapshots

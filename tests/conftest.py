@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; no deadline, because per-example timings on a small shared
+# host vary by up to 1.5x.
+settings.register_profile("nlslab", derandomize=True, deadline=None, database=None)
+settings.load_profile("nlslab")
 
 from nlslab import ComplexField, SPACE, gaussian_profile, make_grid, zero_field
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from nlslab import (
     ComplexField,
@@ -8,6 +9,7 @@ from nlslab import (
     SystemState,
     Schedule,
     TrajectoryRecorder,
+    count_steps,
     dissipation_rate,
     evolve,
     free_propagate,
@@ -21,6 +23,7 @@ from nlslab import (
     strang_step,
     zero_field,
 )
+from nlslab.dynamics import _decay_factors
 
 
 class TestNonlinearSubstep:
@@ -94,6 +97,62 @@ class TestNonlinearSubstep:
             nonlinear_substep(1.0 + 0j, 1.0 + 0j, 0.0)
         with pytest.raises(SimulationAbort):
             nonlinear_substep(np.nan + 0j, 1.0 + 0j, 0.1)
+
+
+# Squared moduli log-uniform over [1e-300, 1e150], step sizes over [1e-4, 10].
+squared_moduli = st.floats(min_value=-300.0, max_value=150.0).map(lambda e: 10.0**e)
+step_sizes = st.floats(min_value=-4.0, max_value=1.0).map(lambda e: 10.0**e)
+phases = st.floats(min_value=0.0, max_value=2.0 * np.pi)
+
+
+def _amplitude(sq_modulus: float, phase: float) -> complex:
+    return complex(np.sqrt(sq_modulus) * np.exp(1j * phase))
+
+
+def _sq(u: complex) -> float:
+    return u.real * u.real + u.imag * u.imag
+
+
+class TestDecayKernelOverFloatRange:
+    """The substep invariants hold at every magnitude, not just O(1) data.
+
+    The pinned examples broke a kernel that formed c * big, the product of
+    two squared moduli: near 1e-161 it underflows and the smaller ratio
+    reached 2.7e28; near 1e150 recovering small as big(dt) - c cancelled and
+    the smaller ratio reached 1.6e14.
+    """
+
+    @given(a=squared_moduli, b=squared_moduli, dt=step_sizes)
+    @example(a=9.03e-162, b=1e-191, dt=1e-4)
+    @example(a=9.794e150, b=9.3e120, dt=1e-4)
+    def test_ratios_never_exceed_one(self, a, b, dt):
+        ra, rb = _decay_factors(np.array([a]), np.array([b]), dt)
+        assert 0.0 <= ra[0] <= 1.0
+        assert 0.0 <= rb[0] <= 1.0
+
+    @given(a=squared_moduli, b=squared_moduli, dt=step_sizes, p1=phases, p2=phases)
+    @example(a=9.03e-162, b=1e-191, dt=1e-4, p1=0.0, p2=0.0)
+    @example(a=9.794e150, b=9.3e120, dt=1e-4, p1=0.0, p2=0.0)
+    def test_difference_conserved_and_moduli_shrink(self, a, b, dt, p1, p2):
+        u1, u2 = _amplitude(a, p1), _amplitude(b, p2)
+        w1, w2 = nonlinear_substep(u1, u2, dt)
+        drift = (_sq(w1) - _sq(w2)) - (_sq(u1) - _sq(u2))
+        assert abs(drift) <= 4.0 * np.spacing(max(_sq(u1), _sq(u2)))
+        for w, u in ((w1, u1), (w2, u2)):
+            assert abs(w.real) <= abs(u.real) and abs(w.imag) <= abs(u.imag)
+
+    @given(a=squared_moduli, b=squared_moduli, dt=step_sizes, p1=phases, p2=phases)
+    def test_swap_symmetry_bitwise(self, a, b, dt, p1, p2):
+        u1, u2 = _amplitude(a, p1), _amplitude(b, p2)
+        o1, o2 = nonlinear_substep(u1, u2, dt)
+        s2, s1 = nonlinear_substep(u2, u1, dt)
+        assert (o1, o2) == (s1, s2)
+
+    @given(a=squared_moduli, dt=step_sizes, p=phases)
+    def test_zero_partner_is_bitwise_identity(self, a, dt, p):
+        u = _amplitude(a, p)
+        assert nonlinear_substep(u, 0j, dt) == (u, 0j)
+        assert nonlinear_substep(0j, u, dt) == (0j, u)
 
 
 class TestStrangStep:
@@ -202,6 +261,35 @@ class TestScheduleAndEvolve:
         for sa, sb in zip(fast, slow):
             assert np.max(np.abs(sa.u1.values - sb.u1.values)) < 1e-12
             assert np.max(np.abs(sa.u2.values - sb.u2.values)) < 1e-12
+
+    def test_observer_and_merged_paths_agree_with_grown_steps(
+        self, grid, unit_gaussian, half_gaussian
+    ):
+        # default schedule: the step grows past t = 10, so h changes between
+        # snapshot intervals
+        sched = make_schedule(dt=0.01, t_final=20.0)
+        seen = []
+        fast = evolve(initial_state(grid, unit_gaussian, half_gaussian, 0.2), sched)
+        slow = evolve(
+            initial_state(grid, unit_gaussian, half_gaussian, 0.2), sched, lambda s: seen.append(s.t)
+        )
+        assert len(fast) == len(slow) == len(sched.snapshot_steps)
+        for sa, sb in zip(fast, slow):
+            assert sa.t == sb.t
+            assert np.max(np.abs(sa.u1.values - sb.u1.values)) < 1e-12
+            assert np.max(np.abs(sa.u2.values - sb.u2.values)) < 1e-12
+        assert len(seen) == count_steps(sched) + 1
+        assert set(s.t for s in fast) <= set(seen)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_abort_names_step_and_time(self, grid, observed):
+        # finite samples whose squared moduli overflow
+        huge = gaussian_profile(grid, 1e160, 1.0)
+        sched = make_schedule(dt=0.01, t_final=1.0)
+        observer = (lambda s: None) if observed else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationAbort, match=r"at step 1, t = 0\.01$"):
+                evolve(initial_state(grid, huge, huge, 1.0), sched, observer)
 
     def test_per_step_mass_monotone(self, grid, unit_gaussian, half_gaussian):
         rec = TrajectoryRecorder(with_j_norm=False)

@@ -6,6 +6,7 @@ from nlslab import (
     AprioriReport,
     RunConfig,
     ProfileSpec,
+    SCENARIO_A,
     TrajectoryRecorder,
     apriori_diagnostics,
     build_profile,
@@ -98,6 +99,23 @@ class TestRunCase:
         assert np.array_equal(a.m_int.m_values, b.m_int.m_values)
         assert a.record.lemma_defect1 == b.record.lemma_defect1
         assert a.record.theorem_defect == b.record.theorem_defect
+
+    def test_shift_and_phase_invariance_near_ties(self):
+        # Scenario A's mirrored carriers keep |u1| and |u2| nearly equal, where
+        # a thresholded tie branch in the decay kernel once amplified
+        # round-off to 8.6e-9 in m.  A whole-cell shift and global phases
+        # change nothing but round-off.
+        cfg = replace(SCENARIO_A, grid_n=1024, grid_length=128.0, t_final=20.0)
+        shift = 5 * cfg.grid_length / cfg.grid_n
+        moved = replace(
+            cfg,
+            psi1=replace(cfg.psi1, amplitude=np.exp(1.1j), center=shift),
+            psi2=replace(cfg.psi2, amplitude=np.exp(2.3j), center=shift),
+        )
+        a, b = run_case(cfg), run_case(moved)
+        eps = a.epsilon
+        gap = np.max(np.abs(a.m_end.m_values - b.m_end.m_values)[a.band])
+        assert gap < 1e-12 * eps**2
 
     def test_needs_anchor_time(self):
         with pytest.raises(ValueError):
