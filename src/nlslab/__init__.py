@@ -43,7 +43,6 @@ from .scattering import (
     rho,
     m_integral,
     m_endpoint,
-    scattering_state,
     orthogonality_defect,
     classify,
     integrate_rho_window,

@@ -85,23 +85,22 @@ def _cmd_evolve(args: list[str]) -> int:
     if "observers" in cfg.tables:
         write_table(os.path.join(out, "observers.tsv"), recorder.header, recorder.rows)
     if "snapshots" in cfg.tables:
-        rows = []
-        for s in snapshots:
-            for k in range(grid.n):
-                rows.append(
-                    (
-                        s.t,
-                        grid.points[k],
-                        s.u1.values[k].real,
-                        s.u1.values[k].imag,
-                        s.u2.values[k].real,
-                        s.u2.values[k].imag,
-                    )
-                )
+        u1 = np.concatenate([s.u1.values for s in snapshots])
+        u2 = np.concatenate([s.u2.values for s in snapshots])
+        rows = np.column_stack(
+            [
+                np.repeat([s.t for s in snapshots], grid.n),
+                np.tile(grid.points, len(snapshots)),
+                u1.real,
+                u1.imag,
+                u2.real,
+                u2.imag,
+            ]
+        )
         write_table(
             os.path.join(out, "snapshots.tsv"),
             ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"],
-            rows,
+            (row.tolist() for row in rows),
         )
     final = snapshots[-1]
     print(

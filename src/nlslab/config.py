@@ -28,6 +28,8 @@ import re
 
 import numpy as np
 
+from .tables import _fmt
+
 __all__ = [
     "ConfigError",
     "ProfileSpec",
@@ -227,10 +229,6 @@ def parse_config(text: str) -> RunConfig:
         else:
             raise ConfigError(f"unknown key {key!r}", lineno)
     return cfg
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _fmt_complex(z: complex) -> str:

@@ -227,9 +227,9 @@ def run_case(cfg: RunConfig, epsilon: float | None = None, observer=None) -> Cas
 
     if cfg.t_final < T_ANCHOR:
         raise ValueError("scattering analysis needs t_final >= 2 (the anchor time)")
-    anchored = [s for s in states if s.t >= T_ANCHOR - 1e-9]
-    anchor_snap = modified_amplitudes(anchored[0])
-    m_int = m_integral(anchored)
+    first = next(i for i, s in enumerate(states) if s.t >= T_ANCHOR - 1e-9)
+    anchor_snap = spectra[first]
+    m_int = m_integral(states[first:], spectra[first:])
     m_end = m_endpoint(spectra[-1])
 
     d1, d2 = lemma_defect(anchor_snap, psi1_hat, psi2_hat, eps)

@@ -6,8 +6,17 @@ back-propagated solution,
     alpha_j(t, xi) = FT[ U(-t) u_j(t, .) ](xi),
 
 which is constant in t for free motion and converges, as t grows, to the
-Fourier transform of the component's scattering state.  The central object
-is the per-frequency sign profile
+Fourier transform of the component's scattering state.  U(-t) is the
+diagonal frequency multiplier exp(+i t xi^2 / 2), so alpha_j is computed in
+closed form as that multiplier applied to the FFT of u_j, followed by the
+centering phase and scale it shares with `forward_ft`
+(`spectral._back_propagated_ft`): no inverse transform and no propagated
+space-side field.  Both components share one stacked (2, n) FFT
+call, so a snapshot's amplitudes cost one transform call; the integrand rho
+adds one more, for the stacked pair of nonlinearities.  `run_case` computes
+each snapshot's amplitudes once and hands them to both m routes.
+
+The central object is the per-frequency sign profile
 
     m(xi) = |alpha_1(2, xi)|^2 - |alpha_2(2, xi)|^2 + integral_2^T rho dt,
 
@@ -20,7 +29,8 @@ independent routes compute it:
   makes rho exactly the time derivative of |alpha_1|^2 - |alpha_2|^2 (the
   1/t model terms cancel in the real-part combination), the integral
   telescopes and m is just the endpoint difference |alpha_1(T)|^2 -
-  |alpha_2(T)|^2.
+  |alpha_2(T)|^2.  The amplitudes at T are the finite-T stand-in for the
+  scattering pair.
 
 Their disagreement is pure quadrature error and is used as the realized
 error scale when thresholding the sign classification.
@@ -32,14 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    FREQUENCY,
-    SPACE,
-    ComplexField,
-    Grid,
-    forward_ft,
-    free_propagate,
-)
+from .spectral import FREQUENCY, ComplexField, Grid, SimulationAbort, _back_propagated_ft
 from .dynamics import SystemState
 
 __all__ = [
@@ -49,7 +52,6 @@ __all__ = [
     "rho",
     "m_integral",
     "m_endpoint",
-    "scattering_state",
     "orthogonality_defect",
     "classify",
     "integrate_rho_window",
@@ -125,17 +127,26 @@ class MProfile:
 
 
 def modified_amplitudes(state: SystemState) -> SpectralSnapshot:
-    """Back-propagate each component to time 0 and Fourier transform it."""
-    a1 = forward_ft(free_propagate(state.u1, -state.t))
-    a2 = forward_ft(free_propagate(state.u2, -state.t))
-    return SpectralSnapshot(state.t, a1, a2)
+    """Both components' modified amplitudes alpha_j(t) = FT[U(-t) u_j(t)].
+
+    One stacked FFT call for the pair, then the closed-form back-propagation
+    multiplier; components are transformed independently, so swapping u1
+    and u2 swaps alpha1 and alpha2 bitwise.
+    """
+    g = state.grid
+    spec = np.fft.fft(np.stack([state.u1.values, state.u2.values]))
+    alpha = _back_propagated_ft(g, spec, state.t)
+    alpha.flags.writeable = False  # frozen, so the fields share it uncopied
+    return SpectralSnapshot(
+        state.t, ComplexField(g, alpha[0], FREQUENCY), ComplexField(g, alpha[1], FREQUENCY)
+    )
 
 
 def _abs2(values: np.ndarray) -> np.ndarray:
     return values.real**2 + values.imag**2
 
 
-def rho(state: SystemState) -> ComplexField:
+def rho(state: SystemState, snap: SpectralSnapshot | None = None) -> ComplexField:
     """Integrand of the sign profile's tail, evaluated from one state.
 
     rho = 2 Re[ conj(alpha_1) R_1 - conj(alpha_2) R_2 ] where R_j compares
@@ -145,22 +156,31 @@ def rho(state: SystemState) -> ComplexField:
 
     and symmetrically for R_2.  The 1/t terms cancel in the combination, so
     rho equals the instantaneous rate of change of |alpha_1|^2 - |alpha_2|^2;
-    the samples are exactly real by construction.
+    the samples are exactly real by construction, and swapping the
+    components negates them bitwise.
+
+    `snap`, the state's own `modified_amplitudes`, is reused when given;
+    otherwise it is computed here.  The two nonlinearities cost one more
+    stacked FFT call and are back-propagated in closed form like the
+    amplitudes.  A non-finite nonlinearity aborts the run.
     """
     t = state.t
     if t <= 0:
         raise ValueError("rho requires t > 0 (the resonant model carries a 1/t factor)")
     g = state.grid
-    snap = modified_amplitudes(state)
+    if snap is None:
+        snap = modified_amplitudes(state)
+    elif snap.t != t or snap.grid != g:
+        raise ValueError(f"snapshot at t = {snap.t} does not belong to the state at t = {t}")
     a1 = snap.alpha1.values
     a2 = snap.alpha2.values
 
     v1 = state.u1.values
     v2 = state.u2.values
-    n1 = ComplexField(g, _abs2(v2) * v1, SPACE)
-    n2 = ComplexField(g, _abs2(v1) * v2, SPACE)
-    g1 = forward_ft(free_propagate(n1, -t)).values
-    g2 = forward_ft(free_propagate(n2, -t)).values
+    nonlin = np.stack([_abs2(v2) * v1, _abs2(v1) * v2])
+    if not np.all(np.isfinite(nonlin)):
+        raise SimulationAbort(f"non-finite nonlinearity in rho at t = {t}")
+    g1, g2 = _back_propagated_ft(g, np.fft.fft(nonlin), t)
 
     r1 = _abs2(a2) * a1 / t - g1
     r2 = _abs2(a1) * a2 / t - g2
@@ -185,13 +205,14 @@ def _fit_tail_exponent(times: np.ndarray, amplitudes: np.ndarray) -> float:
     return max(-slope, 1.05)
 
 
-def m_integral(states: list[SystemState]) -> MProfile:
+def m_integral(states: list[SystemState], spectra: list[SpectralSnapshot] | None = None) -> MProfile:
     """Anchored route: time-2 endpoint difference plus a trapezoid of rho.
 
     Expects system snapshots whose first time is the anchor t = 2 and whose
-    last is the truncation time T.  The neglected tail beyond T is estimated
-    per frequency by extrapolating |rho| ~ t^-p, with p fitted on the last
-    decade of snapshot times, and attached to the returned profile.
+    last is the truncation time T; `spectra`, their modified amplitudes in
+    the same order, are reused when given.  The neglected tail beyond T is
+    estimated per frequency by extrapolating |rho| ~ t^-p, with p fitted on
+    the last decade of snapshot times, and attached to the returned profile.
     """
     if len(states) < 3:
         raise ValueError("integral route needs at least 3 snapshots")
@@ -200,12 +221,16 @@ def m_integral(states: list[SystemState]) -> MProfile:
         raise ValueError(f"first snapshot must sit at the t = 2 anchor, got {times[0]}")
     if np.any(np.diff(times) <= 0):
         raise ValueError("snapshot times must be strictly ascending")
+    if spectra is None:
+        spectra = [modified_amplitudes(s) for s in states]
+    elif len(spectra) != len(states):
+        raise ValueError(f"{len(spectra)} spectra given for {len(states)} snapshots")
     grid = states[0].grid
 
-    anchor = _endpoint_difference(modified_amplitudes(states[0]))
+    anchor = _endpoint_difference(spectra[0])
     rho_vals = np.empty((len(states), grid.n), dtype=np.float64)
-    for i, s in enumerate(states):
-        rho_vals[i] = rho(s).values.real
+    for i, (s, sp) in enumerate(zip(states, spectra)):
+        rho_vals[i] = rho(s, sp).values.real
     m_vals = anchor + np.trapezoid(rho_vals, times, axis=0)
 
     t_final = times[-1]
@@ -236,19 +261,6 @@ def integrate_rho_window(states: list[SystemState], t_lo: float, t_hi: float) ->
     times = np.array([s.t for s in window])
     vals = np.stack([rho(s).values.real for s in window])
     return np.trapezoid(vals, times, axis=0)
-
-
-def scattering_state(final_snapshot: SpectralSnapshot) -> tuple[ComplexField, ComplexField]:
-    """Finite-T stand-in for the limiting scattering pair, frequency side.
-
-    The amplitudes at the final time approximate the transforms of the
-    large-time free profiles; their quality improves with T but carries no
-    rate guarantee, so downstream consumers should treat the attached tail
-    estimates as error bars.
-    """
-    if final_snapshot.t < T_ANCHOR - _ANCHOR_TOL:
-        raise ValueError("scattering state extraction needs T >= 2")
-    return final_snapshot.alpha1, final_snapshot.alpha2
 
 
 def orthogonality_defect(snapshot: SpectralSnapshot) -> float:

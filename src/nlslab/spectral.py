@@ -150,11 +150,26 @@ def forward_ft(f: ComplexField) -> ComplexField:
     the (-1)^m phase accounting for the -L/2 grid offset.
     """
     _require_side(f, SPACE, "forward_ft")
-    g = f.grid
-    spec = (g.dx / np.sqrt(2.0 * np.pi)) * g._centering_signs * np.fft.fftshift(
-        np.fft.fft(f.values)
-    )
-    return ComplexField(g, spec, FREQUENCY)
+    return ComplexField(f.grid, _back_propagated_ft(f.grid, np.fft.fft(f.values)), FREQUENCY)
+
+
+def _back_propagated_ft(grid: Grid, spec: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """FT U(-t) of space-side rows, ascending xi, from their unnormalized FFT.
+
+    U(-t) is the multiplier exp(+i*t*xi^2/2) on the FFT, so no inverse
+    transform is taken:
+
+        FT U(-t) f = dx/sqrt(2*pi) * (-1)^m * fftshift(exp(+i*t*xi^2/2) * FFT[f]).
+
+    At t = 0 the multiplier is skipped and this is `forward_ft`.  `spec` is
+    in FFT order along its last axis, so the rows of a stacked (k, n) FFT
+    are handled together; it is left unchanged.
+    """
+    back = spec if t == 0.0 else spec * _free_multiplier(grid, -t)
+    shifted = np.fft.fftshift(back, axes=-1)
+    del back  # the product is a full-size temporary; free it before scaling
+    shifted *= (grid.dx / np.sqrt(2.0 * np.pi)) * grid._centering_signs
+    return shifted
 
 
 def inverse_ft(f: ComplexField) -> ComplexField:
@@ -177,9 +192,13 @@ def free_propagate(f: ComplexField, t: float) -> ComplexField:
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     g = f.grid
-    phase = np.exp(-0.5j * t * g._frequencies_fft_order**2)
-    vals = np.fft.ifft(phase * np.fft.fft(f.values))
+    vals = np.fft.ifft(_free_multiplier(g, t) * np.fft.fft(f.values))
     return ComplexField(g, vals, SPACE)
+
+
+def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
+    """The multiplier exp(-i*t*xi^2/2) of U(t), in FFT order."""
+    return np.exp(-0.5j * t * grid._frequencies_fft_order**2)
 
 
 def l2_norm(f: ComplexField) -> float:

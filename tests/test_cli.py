@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from nlslab import build_profile, evolve, initial_state, make_grid, make_schedule, parse_config
 from nlslab.cli import main
-from nlslab.tables import read_table
+from nlslab.tables import read_table, write_table
 
 TINY = """\
 grid.n = 64
@@ -74,6 +75,34 @@ class TestEvolveCommand:
         header2, rows2 = read_table(os.path.join(out, "snapshots.tsv"))
         assert header2 == ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"]
         assert rows2.shape[0] % 64 == 0
+
+    def test_snapshots_table_matches_per_element_writer(self, tmp_path, capsys):
+        # reference: the per-element row loop the column-array writer replaced
+        cfg, out = write_cfg(tmp_path, TINY)
+        assert main(["evolve", cfg]) == 0
+        run = parse_config(TINY.format(out=out))
+        grid = make_grid(run.grid_n, run.grid_length)
+        sched = make_schedule(run.dt, run.t_final, run.snapshot_ratio, run.grow_after, run.growth_cap)
+        state0 = initial_state(
+            grid, build_profile(grid, run.psi1), build_profile(grid, run.psi2), run.epsilon_single()
+        )
+        rows = []
+        for s in evolve(state0, sched, lambda state: None):  # the CLI's observer path
+            for k in range(grid.n):
+                rows.append(
+                    (
+                        s.t,
+                        grid.points[k],
+                        s.u1.values[k].real,
+                        s.u1.values[k].imag,
+                        s.u2.values[k].real,
+                        s.u2.values[k].imag,
+                    )
+                )
+        expected = tmp_path / "expected.tsv"
+        write_table(str(expected), ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"], rows)
+        with open(os.path.join(out, "snapshots.tsv"), "rb") as fh:
+            assert fh.read() == expected.read_bytes()
 
     def test_epsilon_list_rejected(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, SWEEPABLE)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,6 +16,7 @@ from nlslab import (
     evolve,
     free_propagate,
     gaussian_profile,
+    j_norm,
     initial_state,
     l2_norm,
     make_grid,
@@ -23,6 +26,7 @@ from nlslab import (
     strang_step,
     zero_field,
 )
+from nlslab import dynamics
 from nlslab.dynamics import _decay_factors
 
 
@@ -282,14 +286,36 @@ class TestScheduleAndEvolve:
         assert set(s.t for s in fast) <= set(seen)
 
     @pytest.mark.parametrize("observed", [False, True])
-    def test_abort_names_step_and_time(self, grid, observed):
-        # finite samples whose squared moduli overflow
-        huge = gaussian_profile(grid, 1e160, 1.0)
+    def test_abort_names_step_and_time(self, grid, unit_gaussian, half_gaussian, monkeypatch, observed):
+        # a substep whose output goes non-finite at step 3 aborts right there
+        calls = []
+
+        def failing_substep(u1, u2, dt, out=None):
+            calls.append(dt)
+            r1, r2 = nonlinear_substep(u1, u2, dt, out)
+            if len(calls) == 3:
+                r1[:] = np.nan
+            return r1, r2
+
+        monkeypatch.setattr(dynamics, "nonlinear_substep", failing_substep)
         sched = make_schedule(dt=0.01, t_final=1.0)
         observer = (lambda s: None) if observed else None
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationAbort, match=r"at step 1, t = 0\.01$"):
+        with pytest.raises(SimulationAbort, match=r"at step 3, t = 0\.03$"):
+            evolve(initial_state(grid, unit_gaussian, half_gaussian, 0.1), sched, observer)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_overflowing_initial_data_aborts_at_step_zero(self, grid, observed):
+        # finite samples whose squared moduli overflow: caught before the
+        # observer sees the state, and without a numpy overflow warning
+        huge = gaussian_profile(grid, 1e160, 1.0)
+        sched = make_schedule(dt=0.01, t_final=1.0)
+        seen = []
+        observer = seen.append if observed else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationAbort, match=r"at step 0, t = 0$"):
                 evolve(initial_state(grid, huge, huge, 1.0), sched, observer)
+        assert seen == []
 
     def test_per_step_mass_monotone(self, grid, unit_gaussian, half_gaussian):
         rec = TrajectoryRecorder(with_j_norm=False)
@@ -359,6 +385,21 @@ class TestMassAndDissipation:
         diss = data[:, rec.header.index("dissipation_rate")]
         closure = total[-1] + np.trapezoid(diss, data[:, 0]) - total[0]
         assert abs(closure) < 1e-4 * total[0]
+
+    def test_recorder_j_norms_match_j_norm(self, grid):
+        # the recorder's stacked transform pair against the per-field J-norm,
+        # at t = 0 and along a coupled run with carriers
+        psi1 = gaussian_profile(grid, 1.0, 1.0, 0.0, 2.0)
+        psi2 = gaussian_profile(grid, 0.5, 1.5, 1.0, -1.0)
+        rec = TrajectoryRecorder(with_j_norm=True)
+        sched = make_schedule(dt=0.01, t_final=12.0, snapshot_ratio=1.5)
+        states = evolve(initial_state(grid, psi1, psi2, 0.3), sched)
+        for s in states:
+            rec(s)
+        j1, j2 = rec.column("j_norm1"), rec.column("j_norm2")
+        for i, s in enumerate(states):
+            assert j1[i] == pytest.approx(j_norm(s.u1, s.t), rel=1e-13)
+            assert j2[i] == pytest.approx(j_norm(s.u2, s.t), rel=1e-13)
 
     def test_mass_is_squared_norm(self, random_field):
         assert mass(random_field) == pytest.approx(l2_norm(random_field) ** 2, rel=1e-14)

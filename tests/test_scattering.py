@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from nlslab import (
     BOTH_VANISH,
     FIRST_SURVIVES,
     SECOND_SURVIVES,
+    SimulationAbort,
     SpectralSnapshot,
+    SystemState,
     classify,
     evolve,
     forward_ft,
@@ -20,9 +24,11 @@ from nlslab import (
     modified_amplitudes,
     orthogonality_defect,
     rho,
-    scattering_state,
     zero_field,
 )
+from nlslab import dynamics, experiments, scattering, spectral
+from nlslab.config import SCENARIO_A, SCENARIO_B
+from nlslab.spectral import SPACE, ComplexField, free_propagate
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +39,16 @@ def coupled_run(grid):
     sched = make_schedule(dt=0.01, t_final=50.0)
     snaps = evolve(initial_state(grid, psi1, psi2, 0.1), sched)
     return psi1, psi2, snaps
+
+
+@pytest.fixture(scope="module")
+def scenario_a_state():
+    """Coupled Scenario A state at t = 37.3, where the back-propagation phases are generic."""
+    g = make_grid(1024, 128.0)
+    psi1 = experiments.build_profile(g, SCENARIO_A.psi1)
+    psi2 = experiments.build_profile(g, SCENARIO_A.psi2)
+    sched = make_schedule(dt=0.01, t_final=37.3)
+    return evolve(initial_state(g, psi1, psi2, SCENARIO_A.epsilon_single()), sched)[-1]
 
 
 class TestModifiedAmplitudes:
@@ -59,6 +75,84 @@ class TestModifiedAmplitudes:
         snap = modified_amplitudes(stepped)
         for alpha, u in ((snap.alpha1, stepped.u1), (snap.alpha2, stepped.u2)):
             assert abs(l2_norm(alpha) - l2_norm(u)) < 1e-12 * l2_norm(u)
+
+
+def _abs2(v):
+    return v.real**2 + v.imag**2
+
+
+class TestClosedForm:
+    """The closed-form amplitudes and rho against the propagate-then-transform chain."""
+
+    def test_amplitudes_match_propagated_transform(self, scenario_a_state):
+        s = scenario_a_state
+        snap = modified_amplitudes(s)
+        for alpha, u in ((snap.alpha1, s.u1), (snap.alpha2, s.u2)):
+            old = forward_ft(free_propagate(u, -s.t)).values
+            scale = np.max(np.abs(old))
+            assert scale > 0
+            assert np.max(np.abs(alpha.values - old)) <= 1e-14 * scale
+
+    def test_rho_matches_three_transform_formula(self, scenario_a_state):
+        s = scenario_a_state
+        g, t = s.grid, s.t
+
+        def back(values):
+            return forward_ft(free_propagate(ComplexField(g, values, SPACE), -t)).values
+
+        v1, v2 = s.u1.values, s.u2.values
+        a1, a2 = back(v1), back(v2)
+        r1 = _abs2(a2) * a1 / t - back(_abs2(v2) * v1)
+        r2 = _abs2(a1) * a2 / t - back(_abs2(v1) * v2)
+        old = 2.0 * np.real(np.conj(a1) * r1 - np.conj(a2) * r2)
+        new = rho(s).values.real
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+        assert np.array_equal(rho(s, modified_amplitudes(s)).values, rho(s).values)
+
+    def test_component_swap_bitwise(self, scenario_a_state):
+        s = scenario_a_state
+        swapped = SystemState(s.t, s.u2, s.u1)
+        snap, snap_sw = modified_amplitudes(s), modified_amplitudes(swapped)
+        assert np.array_equal(snap_sw.alpha1.values, snap.alpha2.values)
+        assert np.array_equal(snap_sw.alpha2.values, snap.alpha1.values)
+        assert np.array_equal(rho(swapped).values.real, -rho(s).values.real)
+
+    def test_rho_rejects_foreign_snapshot_and_overflow(self, scenario_a_state):
+        s = scenario_a_state
+        other = modified_amplitudes(SystemState(s.t + 1.0, s.u1, s.u2))
+        with pytest.raises(ValueError):
+            rho(s, other)
+        huge = ComplexField(s.grid, 1e120 * s.u1.values, SPACE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationAbort, match="nonlinearity"):
+                rho(SystemState(s.t, huge, huge))
+
+    def test_run_case_computes_amplitudes_once_per_snapshot(self, monkeypatch):
+        amplitude_calls = []
+        propagate_calls = []
+        real_amplitudes = experiments.modified_amplitudes
+        real_propagate = spectral.free_propagate
+
+        def counting_amplitudes(state):
+            amplitude_calls.append(state.t)
+            return real_amplitudes(state)
+
+        def counting_propagate(f, t):
+            propagate_calls.append(t)
+            return real_propagate(f, t)
+
+        # run_case's own calls, and any m_integral or rho makes for itself
+        monkeypatch.setattr(experiments, "modified_amplitudes", counting_amplitudes)
+        monkeypatch.setattr(scattering, "modified_amplitudes", counting_amplitudes)
+        # every module that could call it by an imported name
+        for module in (spectral, dynamics, scattering, experiments):
+            if hasattr(module, "free_propagate"):
+                monkeypatch.setattr(module, "free_propagate", counting_propagate)
+        cfg = replace(SCENARIO_B, grid_n=512, grid_length=64.0, t_final=20.0)
+        case = experiments.run_case(cfg)
+        assert len(amplitude_calls) == len(case.states)
+        assert amplitude_calls == [s.t for s in case.states]
+        assert propagate_calls == []
 
 
 class TestRho:
@@ -162,25 +256,31 @@ class TestMRoutes:
 
 
 class TestScatteringState:
+    """The final snapshot's amplitudes stand in for the scattering pair."""
+
     def test_decoupled_state_is_scaled_transform(self, grid, unit_gaussian, zero):
         eps = 0.1
         sched = make_schedule(dt=0.01, t_final=20.0)
         snaps = evolve(initial_state(grid, unit_gaussian, zero, eps), sched)
-        phi1, phi2 = scattering_state(modified_amplitudes(snaps[-1]))
+        final = modified_amplitudes(snaps[-1])
         expected = eps * forward_ft(unit_gaussian).values
-        assert np.max(np.abs(phi1.values - expected)) < 1e-10
-        assert np.all(phi2.values == 0)
+        assert np.max(np.abs(final.alpha1.values - expected)) < 1e-10
+        assert np.all(final.alpha2.values == 0)
 
     def test_norms_bounded_by_initial_masses(self, coupled_run):
         psi1, psi2, snaps = coupled_run
-        phi1, phi2 = scattering_state(modified_amplitudes(snaps[-1]))
-        assert l2_norm(phi1) <= 0.1 * l2_norm(psi1) + 1e-12
-        assert l2_norm(phi2) <= 0.1 * l2_norm(psi2) + 1e-12
+        final = modified_amplitudes(snaps[-1])
+        assert l2_norm(final.alpha1) <= 0.1 * l2_norm(psi1) + 1e-12
+        assert l2_norm(final.alpha2) <= 0.1 * l2_norm(psi2) + 1e-12
 
     def test_requires_t_at_least_two(self, grid, unit_gaussian, zero):
+        """The final snapshot is read as the scattering pair only from the anchor T = 2 on."""
         snap = modified_amplitudes(initial_state(grid, unit_gaussian, zero, 0.1))
         with pytest.raises(ValueError):
-            scattering_state(snap)
+            m_endpoint(snap)
+        with pytest.raises(ValueError):
+            m_endpoint(SpectralSnapshot(1.9, snap.alpha1, snap.alpha2))
+        assert m_endpoint(SpectralSnapshot(2.0, snap.alpha1, snap.alpha2)).t_final == 2.0
 
 
 class TestOrthogonalityDefect:
