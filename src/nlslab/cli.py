@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from .dynamics import (
 )
 from .scattering import classify, m_endpoint, m_integral, modified_amplitudes, rho
 from .experiments import (
+    OrderFit,
+    SweepRecord,
     build_profile,
     fit_order,
     initial_state,
@@ -118,11 +121,7 @@ def _cmd_mprofile(args: list[str]) -> int:
     out = _outdir(cfg)
     xi = case.grid.frequencies
     if "mprofile" in cfg.tables:
-        write_table(
-            os.path.join(out, "mprofile.tsv"),
-            ["xi", "m_endpoint", "m_integral", "tail_estimate"],
-            zip(xi, case.m_end.m_values, case.m_int.m_values, case.m_int.tail_estimate),
-        )
+        _write_mprofile(os.path.join(out, "mprofile.tsv"), case)
     if "classification" in cfg.tables:
         tags = case.tags()
         write_table(
@@ -148,45 +147,15 @@ def _cmd_sweep(args: list[str]) -> int:
     if "sweep" in cfg.tables:
         write_table(
             os.path.join(out, "sweep.tsv"),
-            [
-                "epsilon",
-                "lemma_defect1",
-                "lemma_defect2",
-                "theorem_defect",
-                "tail_estimate",
-                "c_quad",
-                "threshold",
-                "mass1_final",
-                "mass2_final",
-                "step_count",
-                "wall_time",
-            ],
-            [
-                (
-                    r.epsilon,
-                    r.lemma_defect1,
-                    r.lemma_defect2,
-                    r.theorem_defect,
-                    r.tail_estimate,
-                    r.c_quad,
-                    r.threshold,
-                    r.mass1_final,
-                    r.mass2_final,
-                    float(r.step_count),
-                    r.wall_time,
-                )
-                for r in result.records
-            ],
+            [f.name for f in fields(SweepRecord)],
+            (astuple(r) for r in result.records),
         )
     if "orderfit" in cfg.tables:
+        fits = (result.lemma_fit1, result.lemma_fit2, result.theorem_fit)
         write_table(
             os.path.join(out, "orderfit.tsv"),
-            ["quantity", "slope", "intercept", "residual", "n_points"],
-            [
-                (1.0, *_fit_row(result.lemma_fit1)),
-                (2.0, *_fit_row(result.lemma_fit2)),
-                (3.0, *_fit_row(result.theorem_fit)),
-            ],
+            ["quantity", *(f.name for f in fields(OrderFit))],
+            ((i, *astuple(fit)) for i, fit in enumerate(fits, start=1)),
         )
     print(
         f"sweep over {len(result.records)} amplitudes: "
@@ -196,8 +165,13 @@ def _cmd_sweep(args: list[str]) -> int:
     return 0
 
 
-def _fit_row(fit) -> tuple[float, float, float, float]:
-    return (fit.slope, fit.intercept, fit.residual, float(fit.n_points))
+def _write_mprofile(path: str, case) -> None:
+    """The sign profile by both routes with its tail estimate, one row per xi."""
+    write_table(
+        path,
+        ["xi", "m_endpoint", "m_integral", "tail_estimate"],
+        zip(case.grid.frequencies, case.m_end.m_values, case.m_int.m_values, case.m_int.tail_estimate),
+    )
 
 
 def _cmd_scenario(args: list[str]) -> int:
@@ -213,12 +187,7 @@ def _cmd_scenario(args: list[str]) -> int:
         ["t", "mass1", "mass2", "alpha2_norm", "orth_defect"],
         zip(rep.snapshot_times, rep.mass1_seq, rep.mass2_seq, rep.alpha2_norm_seq, rep.orth_defect_seq),
     )
-    case = rep.case
-    write_table(
-        os.path.join(out, f"scenario_{name}_mprofile.tsv"),
-        ["xi", "m_endpoint", "m_integral", "tail_estimate"],
-        zip(case.grid.frequencies, case.m_end.m_values, case.m_int.m_values, case.m_int.tail_estimate),
-    )
+    _write_mprofile(os.path.join(out, f"scenario_{name}_mprofile.tsv"), rep.case)
     print(f"scenario {name} (eps = {rep.epsilon:g}, T = {rep.t_final:g})")
     print(f"  tags present: {', '.join(rep.tags_present)}")
     print(f"  dominant-band amplitude retention: {rep.band_norm_ratio1:.3f} / {rep.band_norm_ratio2:.3f}")

@@ -112,13 +112,25 @@ class RunConfig:
         return self.epsilons
 
 
-def _parse_number(text: str, line: int, kind: str = "float") -> float:
+def _parse_number(text: str, line: int, kind=float) -> float:
     try:
-        if kind == "int":
-            return int(text)
-        return float(text)
+        return kind(text)
     except ValueError:
         raise ConfigError(f"malformed number {text!r}", line) from None
+
+
+# The numeric keys in file order: key -> (RunConfig field, int or float,
+# validity test, requirement named in the error).  Comparisons against inf
+# are false for nan, so each test also rejects nan.
+_NUMBER_KEYS = {
+    "grid.n": ("grid_n", int, lambda n: n >= 16 and (n & (n - 1)) == 0, "be a power of two >= 16"),
+    "grid.length": ("grid_length", float, lambda v: 0 < v < np.inf, "be positive"),
+    "time.dt": ("dt", float, lambda v: 0 < v < np.inf, "be positive"),
+    "time.t_final": ("t_final", float, lambda v: 0 <= v < np.inf, "be finite and >= 0"),
+    "time.snapshot_ratio": ("snapshot_ratio", float, lambda v: 1 < v < np.inf, "exceed 1"),
+    "time.grow_after": ("grow_after", float, lambda v: v >= 0, "be >= 0 (inf allowed)"),
+    "time.growth_cap": ("growth_cap", float, lambda v: 0 < v <= 1, "lie in (0, 1]"),
+}
 
 
 _GAUSSIAN_RE = re.compile(r"^gaussian\s*\((.*)\)$")
@@ -167,41 +179,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         seen.add(key)
 
-        if key == "grid.n":
-            n = int(_parse_number(value, lineno, "int"))
-            if n < 16 or (n & (n - 1)) != 0:
-                raise ConfigError(f"grid.n must be a power of two >= 16, got {n}", lineno)
-            cfg = replace(cfg, grid_n=n)
-        elif key == "grid.length":
-            v = _parse_number(value, lineno)
-            if not (np.isfinite(v) and v > 0):
-                raise ConfigError(f"grid.length must be positive, got {v}", lineno)
-            cfg = replace(cfg, grid_length=v)
-        elif key == "time.dt":
-            v = _parse_number(value, lineno)
-            if not (np.isfinite(v) and v > 0):
-                raise ConfigError(f"time.dt must be positive, got {v}", lineno)
-            cfg = replace(cfg, dt=v)
-        elif key == "time.t_final":
-            v = _parse_number(value, lineno)
-            if not (np.isfinite(v) and v >= 0):
-                raise ConfigError(f"time.t_final must be finite and >= 0, got {v}", lineno)
-            cfg = replace(cfg, t_final=v)
-        elif key == "time.snapshot_ratio":
-            v = _parse_number(value, lineno)
-            if not (np.isfinite(v) and v > 1):
-                raise ConfigError(f"time.snapshot_ratio must exceed 1, got {v}", lineno)
-            cfg = replace(cfg, snapshot_ratio=v)
-        elif key == "time.grow_after":
-            v = _parse_number(value, lineno)
-            if np.isnan(v) or v < 0:
-                raise ConfigError(f"time.grow_after must be >= 0 (inf allowed), got {v}", lineno)
-            cfg = replace(cfg, grow_after=v)
-        elif key == "time.growth_cap":
-            v = _parse_number(value, lineno)
-            if not (np.isfinite(v) and 0 < v <= 1):
-                raise ConfigError(f"time.growth_cap must lie in (0, 1], got {v}", lineno)
-            cfg = replace(cfg, growth_cap=v)
+        if key in _NUMBER_KEYS:
+            name, kind, valid, requirement = _NUMBER_KEYS[key]
+            v = _parse_number(value, lineno, kind)
+            if not valid(v):
+                raise ConfigError(f"{key} must {requirement}, got {v}", lineno)
+            cfg = replace(cfg, **{name: v})
         elif key == "data.psi1":
             cfg = replace(cfg, psi1=_parse_profile(value, lineno))
         elif key == "data.psi2":
@@ -251,16 +234,11 @@ def _fmt_profile(p: ProfileSpec) -> str:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c."""
     lines = [
-        f"grid.n = {cfg.grid_n}",
-        f"grid.length = {_fmt(cfg.grid_length)}",
-        f"time.dt = {_fmt(cfg.dt)}",
-        f"time.t_final = {_fmt(cfg.t_final)}",
-        f"time.snapshot_ratio = {_fmt(cfg.snapshot_ratio)}",
-        f"time.grow_after = {_fmt(cfg.grow_after)}",
-        f"time.growth_cap = {_fmt(cfg.growth_cap)}",
-        f"data.psi1 = {_fmt_profile(cfg.psi1)}",
-        f"data.psi2 = {_fmt_profile(cfg.psi2)}",
+        f"{key} = {(_fmt if kind is float else str)(getattr(cfg, name))}"
+        for key, (name, kind, _, _) in _NUMBER_KEYS.items()
     ]
+    lines.append(f"data.psi1 = {_fmt_profile(cfg.psi1)}")
+    lines.append(f"data.psi2 = {_fmt_profile(cfg.psi2)}")
     if cfg.epsilons is not None:
         lines.append("epsilon = " + ", ".join(_fmt(e) for e in cfg.epsilons))
     lines.append(f"outputs.directory = {cfg.output_dir}")

@@ -16,7 +16,9 @@ The decay solve is one branch-free closed form, valid from exact ties to
 widely separated moduli and over the whole float64 range.  `evolve` is a
 single loop over the stacked (2, n) pair: one FFT call per direction moves
 both components, two transforms per step without an observer and three
-with one; `strang_step` is one step of the same code.
+with one.  An observer never changes the run: it reads each step's
+boundary state from a copy, and the snapshots are bitwise the same with or
+without it.  `strang_step` is one step of the same code.
 
 Multiplying each equation by its conjugate and integrating gives the mass
 ledger d/dt (M1 + M2) = -4 * integral |u1|^2 |u2|^2 dx, which `evolve`
@@ -224,11 +226,6 @@ def nonlinear_substep(u1_val, u2_val, dt: float, out=None):
     return out[0], out[1]
 
 
-def _half_step(grid: Grid, dt: float) -> np.ndarray:
-    """Free half-step multiplier exp(-i (dt/2) xi^2 / 2) in FFT order."""
-    return np.exp(-0.25j * dt * grid._frequencies_fft_order**2)
-
-
 def _kick(spec: np.ndarray, work: np.ndarray, dt: float) -> None:
     """Nonlinear substep between two stacked spectra: two transforms.
 
@@ -260,7 +257,7 @@ def strang_step(state: SystemState, dt: float) -> SystemState:
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
-    half = _half_step(state.grid, dt)
+    half = _free_multiplier(state.grid, 0.5 * dt)
     spec = _stacked_spectrum(state)
     spec *= half
     _kick(spec, np.empty_like(spec), dt)
@@ -361,11 +358,13 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
     spectrum, so each transform is a single FFT call for the pair, and it
     reuses its work buffers.  A step is a free half-step multiplier, the
     nonlinear substep between an inverse and a forward transform, and
-    another half-step.  Without an observer the half-steps of consecutive
-    steps merge into one full-step multiplier: two transforms per step,
-    plus one per snapshot to return to space.  With an observer every step
-    ends on its boundary state, taken from the spectrum the loop holds:
-    three transforms per step.  The two paths differ by round-off only.
+    another half-step.  Inside a snapshot interval the half-steps of
+    consecutive steps merge into one full-step multiplier: two transforms
+    per step, plus one per snapshot to return to space.  An observer never
+    changes the run: each step's boundary state is the spectrum times a
+    half-step, taken into the free work buffer and transformed back, so a
+    run with an observer costs three transforms per step and returns
+    bitwise the same snapshots as one without.
 
     Initial data whose masses overflow abort as step 0, before the
     observer sees them.  After every substep the masses are checked; the
@@ -394,7 +393,7 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
         t_a = k_a * schedule.dt
         t_b = k_b * schedule.dt
         nsteps, h = _interval_plan(t_a, t_b, k_a, k_b, schedule)
-        half = _half_step(g, h)
+        half = _free_multiplier(g, 0.5 * h)
         full = half * half
         spec *= half
         for s in range(nsteps):
@@ -413,16 +412,16 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
                         f"component mass increased beyond tolerance ({m1}->{new1}, {m2}->{new2})"
                     )
                 m1, m2 = new1, new2
-                if observer is None and not last:
-                    spec *= full
-                    continue
-                spec *= half
-                state = _state_from_spectrum(t, g, spec)
-                if observer is not None:
-                    observer(state)
+                if last or observer is not None:
+                    # an inner boundary state is read from a copy in `work`,
+                    # so the spectrum the loop carries on is the same either way
+                    boundary = np.multiply(spec, half, out=spec if last else work)
+                    state = _state_from_spectrum(t, g, boundary)
+                    if observer is not None:
+                        observer(state)
             except SimulationAbort as err:
                 raise SimulationAbort(f"{err} at step {step}, t = {t}") from err
             if not last:
-                spec *= half
+                spec *= full
         snapshots.append(state)
     return snapshots

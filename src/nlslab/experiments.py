@@ -211,6 +211,8 @@ def run_case(cfg: RunConfig, epsilon: float | None = None, observer=None) -> Cas
     threshold usable in the all-zero eps = 0 case.
     """
     eps = cfg.epsilon_single() if epsilon is None else float(epsilon)
+    if cfg.t_final < T_ANCHOR:
+        raise ValueError("scattering analysis needs t_final >= 2 (the anchor time)")
     t_start = time.perf_counter()
     grid = make_grid(cfg.grid_n, cfg.grid_length)
     schedule = make_schedule(
@@ -225,8 +227,6 @@ def run_case(cfg: RunConfig, epsilon: float | None = None, observer=None) -> Cas
     states = evolve(initial_state(grid, psi1, psi2, eps), schedule, observer)
     spectra = [modified_amplitudes(s) for s in states]
 
-    if cfg.t_final < T_ANCHOR:
-        raise ValueError("scattering analysis needs t_final >= 2 (the anchor time)")
     first = next(i for i, s in enumerate(states) if s.t >= T_ANCHOR - 1e-9)
     anchor_snap = spectra[first]
     m_int = m_integral(states[first:], spectra[first:])

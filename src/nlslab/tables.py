@@ -2,8 +2,10 @@
 
 Layout: one `# col1<TAB>col2...` header line, then one row per line, every
 value printed with 17 significant digits so parsing reproduces each double
-exactly.  Row order is whatever the writer supplies (deterministic callers
-give deterministic files).
+exactly.  Rows are streamed to the file as the writer supplies them, one
+fixed `%.17g` format per row and no copy of the whole table; row order is
+whatever the writer supplies (deterministic callers give deterministic
+files).
 """
 
 from __future__ import annotations
@@ -12,21 +14,25 @@ import numpy as np
 
 __all__ = ["write_table", "read_table"]
 
+_NUMBER = "%.17g"
+
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _NUMBER % float(x)
 
 
 def write_table(path: str, header: list[str], rows) -> None:
-    """Write a header-plus-rows table; empty rows give a header-only file."""
-    tmp = []
-    for row in rows:
-        tmp.append("\t".join(_fmt(v) for v in row))
+    """Write a header-plus-rows table; empty rows give a header-only file.
+
+    Every row must hold exactly `len(header)` numbers: a row of any other
+    length does not fit the fixed row format and raises TypeError, leaving
+    the rows before it written.
+    """
+    row_format = "\t".join([_NUMBER] * len(header)) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# " + "\t".join(header) + "\n")
-            for line in tmp:
-                fh.write(line + "\n")
+            fh.writelines(row_format % tuple(row) for row in rows)
     except OSError as err:
         raise OSError(f"cannot write table {path!r}: {err}") from err
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlslab import build_profile, evolve, initial_state, make_grid, make_schedule, parse_config
+import nlslab.cli
 from nlslab.cli import main
 from nlslab.tables import read_table, write_table
 
@@ -140,6 +141,72 @@ class TestSweepCommand:
         assert rows2.shape == (3, 5)
         # lemma slopes land near cubic even on this tiny grid
         assert 2.0 < rows2[0, 1] < 4.0
+
+
+    def test_tables_match_hand_listed_rows(self, tmp_path, monkeypatch, capsys):
+        # reference: the column lists and per-value formatting the tables
+        # had before they were derived from SweepRecord and OrderFit
+        results = []
+        run_sweep = nlslab.cli.run_sweep
+
+        def capturing_run_sweep(cfg):
+            results.append(run_sweep(cfg))
+            return results[-1]
+
+        monkeypatch.setattr(nlslab.cli, "run_sweep", capturing_run_sweep)
+        cfg, out = write_cfg(tmp_path, SWEEPABLE)
+        assert main(["sweep", cfg]) == 0
+        (result,) = results
+
+        def text(header, rows):
+            lines = ["# " + "\t".join(header)]
+            lines += ["\t".join(format(float(v), ".17g") for v in row) for row in rows]
+            return "\n".join(lines) + "\n"
+
+        sweep = text(
+            [
+                "epsilon",
+                "lemma_defect1",
+                "lemma_defect2",
+                "theorem_defect",
+                "tail_estimate",
+                "c_quad",
+                "threshold",
+                "mass1_final",
+                "mass2_final",
+                "step_count",
+                "wall_time",
+            ],
+            [
+                (
+                    r.epsilon,
+                    r.lemma_defect1,
+                    r.lemma_defect2,
+                    r.theorem_defect,
+                    r.tail_estimate,
+                    r.c_quad,
+                    r.threshold,
+                    r.mass1_final,
+                    r.mass2_final,
+                    float(r.step_count),
+                    r.wall_time,
+                )
+                for r in result.records
+            ],
+        )
+        orderfit = text(
+            ["quantity", "slope", "intercept", "residual", "n_points"],
+            [
+                (float(i), fit.slope, fit.intercept, fit.residual, float(fit.n_points))
+                for i, fit in enumerate(
+                    (result.lemma_fit1, result.lemma_fit2, result.theorem_fit), start=1
+                )
+            ],
+        )
+        with open(os.path.join(out, "sweep.tsv"), encoding="utf-8") as fh:
+            assert fh.read() == sweep
+        with open(os.path.join(out, "orderfit.tsv"), encoding="utf-8") as fh:
+            assert fh.read() == orderfit
 
 
 class TestScenarioCommand:

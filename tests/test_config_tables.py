@@ -7,6 +7,7 @@ from nlslab import (
     ConfigError,
     ProfileSpec,
     RunConfig,
+    SCENARIO_A,
     SCENARIO_B,
     parse_config,
     read_table,
@@ -59,6 +60,23 @@ class TestParseConfig:
         ):
             with pytest.raises(ConfigError):
                 parse_config(bad)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "grid.length = inf",
+            "time.dt = nan",
+            "time.t_final = inf",
+            "time.snapshot_ratio = nan",
+            "time.grow_after = nan",
+            "time.growth_cap = nan",
+        ],
+    )
+    def test_non_finite_values_rejected(self, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(line)
+        assert err.value.line == 1
+        assert line.split(" = ")[0] + " must" in str(err.value)
 
     def test_profile_parsing(self):
         cfg = parse_config("data.psi1 = gaussian(0.5+0.5j, 2, -1, 3)\ndata.psi2 = zero\n")
@@ -122,6 +140,37 @@ class TestSerializeConfig:
         )
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_scenario_a_text_is_pinned(self):
+        assert serialize_config(SCENARIO_A) == (
+            "grid.n = 4096\n"
+            "grid.length = 256\n"
+            "time.dt = 0.01\n"
+            "time.t_final = 400\n"
+            "time.snapshot_ratio = 1.189207115002721\n"
+            "time.grow_after = 10\n"
+            "time.growth_cap = 0.050000000000000003\n"
+            "data.psi1 = gaussian(1, 1, 0, 2)\n"
+            "data.psi2 = gaussian(1, 1, 0, -2)\n"
+            "epsilon = 0.10000000000000001\n"
+            "outputs.directory = out\n"
+            "outputs.tables = observers, snapshots, mprofile, classification, sweep, orderfit\n"
+        )
+
+    def test_unbounded_growth_text_is_pinned(self):
+        assert serialize_config(RunConfig(grow_after=float("inf"))) == (
+            "grid.n = 4096\n"
+            "grid.length = 256\n"
+            "time.dt = 0.01\n"
+            "time.t_final = 400\n"
+            "time.snapshot_ratio = 1.189207115002721\n"
+            "time.grow_after = inf\n"
+            "time.growth_cap = 0.050000000000000003\n"
+            "data.psi1 = gaussian(1, 1, 0, 0)\n"
+            "data.psi2 = gaussian(0.5, 1, 0, 0)\n"
+            "outputs.directory = out\n"
+            "outputs.tables = observers, snapshots, mprofile, classification, sweep, orderfit\n"
+        )
+
     def test_seventeen_digit_floats_survive(self):
         cfg = RunConfig(dt=0.1 / 3.0, snapshot_ratio=2.0**0.25)
         back = parse_config(serialize_config(cfg))
@@ -150,6 +199,11 @@ class TestTables:
         header, rows = read_table(path)
         assert header == ["x", "y"]
         assert rows.shape == (0, 2)
+
+    @pytest.mark.parametrize("row", [(1.0, 2.0, 3.0), (1.0,)])
+    def test_ragged_row_rejected_on_write(self, tmp_path, row):
+        with pytest.raises(TypeError):
+            write_table(str(tmp_path / "ragged.tsv"), ["a", "b"], [(0.5, 0.25), row])
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

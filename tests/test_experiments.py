@@ -121,6 +121,20 @@ class TestRunCase:
         with pytest.raises(ValueError):
             run_case(replace(TINY_CFG, t_final=1.0), 0.1)
 
+    def test_anchor_time_checked_before_evolving(self, monkeypatch):
+        import nlslab.experiments as experiments
+
+        calls = []
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "evolve", counting_evolve)
+        with pytest.raises(ValueError, match="t_final >= 2"):
+            run_case(replace(TINY_CFG, t_final=1.99), 0.1)
+        assert calls == []
+
     def test_epsilon_scaling_sanity(self):
         # halving eps halves the initial norm exactly and nearly halves it at t = 1
         grid = make_grid(TINY_CFG.grid_n, TINY_CFG.grid_length)
