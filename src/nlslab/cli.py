@@ -38,7 +38,7 @@ from .scattering import classify, m_endpoint, m_integral, modified_amplitudes, r
 from .experiments import (
     OrderFit,
     SweepRecord,
-    build_profile,
+    _run_inputs,
     fit_order,
     initial_state,
     run_case,
@@ -77,10 +77,7 @@ def _cmd_evolve(args: list[str]) -> int:
     if len(args) != 1:
         raise ConfigError("evolve takes exactly one argument: the config path")
     cfg = _load_config(args[0])
-    eps = cfg.epsilon_single()
-    grid = make_grid(cfg.grid_n, cfg.grid_length)
-    schedule = make_schedule(cfg.dt, cfg.t_final, cfg.snapshot_ratio, cfg.grow_after, cfg.growth_cap)
-    state0 = initial_state(grid, build_profile(grid, cfg.psi1), build_profile(grid, cfg.psi2), eps)
+    grid, schedule, _, _, state0 = _run_inputs(cfg, cfg.epsilon_single())
     recorder = TrajectoryRecorder(with_j_norm=True)
     snapshots = evolve(state0, schedule, recorder)
 

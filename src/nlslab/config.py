@@ -3,7 +3,8 @@
 The format is deliberately flat: one dotted key per line, `#` comments and
 blank lines ignored, unknown keys rejected with their line number.  All
 numeric output uses 17 significant digits so a serialize/parse round trip
-reproduces every float bitwise.
+reproduces every float bitwise.  mprofile, sweep and scenario need a time.dt
+whose steps k * dt hit the t = 2 anchor (dt = 0.07 does not: 2.03 is nearest).
 
 Recognized keys (defaults in parentheses):
 
@@ -14,7 +15,8 @@ Recognized keys (defaults in parentheses):
     time.snapshot_ratio (2^0.25)  geometric snapshot spacing, > 1
     time.grow_after     (10)      time after which steps may grow; inf = never
     time.growth_cap     (0.05)    step ceiling as a fraction of t
-    data.psi1           (gaussian(1, 1, 0, 0))    profile: gaussian(A, w, c, k) | zero
+    data.psi1           (gaussian(1, 1, 0, 0))    profile: gaussian(A, w, c, k) | zero,
+                                                  A, c, k finite and w positive
     data.psi2           (gaussian(0.5, 1, 0, 0))
     epsilon             (unset)   single amplitude or comma list
     outputs.directory   (out)
@@ -28,6 +30,7 @@ import re
 
 import numpy as np
 
+from .spectral import _is_power_of_two
 from .tables import _fmt
 
 __all__ = [
@@ -77,6 +80,9 @@ class ProfileSpec:
             raise ConfigError(f"unknown profile kind {self.kind!r}")
         if self.kind == "gaussian" and not (np.isfinite(self.width) and self.width > 0):
             raise ConfigError(f"gaussian width must be positive, got {self.width}")
+        for name in ("amplitude", "center", "wavenumber"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 ZERO_PROFILE = ProfileSpec(kind="zero", amplitude=0.0)
@@ -123,7 +129,7 @@ def _parse_number(text: str, line: int, kind=float) -> float:
 # validity test, requirement named in the error).  Comparisons against inf
 # are false for nan, so each test also rejects nan.
 _NUMBER_KEYS = {
-    "grid.n": ("grid_n", int, lambda n: n >= 16 and (n & (n - 1)) == 0, "be a power of two >= 16"),
+    "grid.n": ("grid_n", int, lambda n: n >= 16 and _is_power_of_two(n), "be a power of two >= 16"),
     "grid.length": ("grid_length", float, lambda v: 0 < v < np.inf, "be positive"),
     "time.dt": ("dt", float, lambda v: 0 < v < np.inf, "be positive"),
     "time.t_final": ("t_final", float, lambda v: 0 <= v < np.inf, "be finite and >= 0"),
@@ -136,7 +142,7 @@ _NUMBER_KEYS = {
 _GAUSSIAN_RE = re.compile(r"^gaussian\s*\((.*)\)$")
 
 
-def _parse_profile(text: str, line: int) -> ProfileSpec:
+def _parse_profile(key: str, text: str, line: int) -> ProfileSpec:
     text = text.strip()
     if text == "zero":
         return ZERO_PROFILE
@@ -153,13 +159,11 @@ def _parse_profile(text: str, line: int) -> ProfileSpec:
         amplitude = complex(parts[0])
     except ValueError:
         raise ConfigError(f"malformed amplitude {parts[0]!r}", line) from None
-    width = _parse_number(parts[1], line)
-    center = _parse_number(parts[2], line)
-    wavenumber = _parse_number(parts[3], line)
+    width, center, wavenumber = (_parse_number(p, line) for p in parts[1:])
     try:
         return ProfileSpec("gaussian", amplitude, width, center, wavenumber)
     except ConfigError as err:
-        raise ConfigError(str(err), line) from None
+        raise ConfigError(f"{key} must hold a valid profile: {err}", line) from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -186,9 +190,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"{key} must {requirement}, got {v}", lineno)
             cfg = replace(cfg, **{name: v})
         elif key == "data.psi1":
-            cfg = replace(cfg, psi1=_parse_profile(value, lineno))
+            cfg = replace(cfg, psi1=_parse_profile(key, value, lineno))
         elif key == "data.psi2":
-            cfg = replace(cfg, psi2=_parse_profile(value, lineno))
+            cfg = replace(cfg, psi2=_parse_profile(key, value, lineno))
         elif key == "epsilon":
             parts = [p.strip() for p in value.split(",") if p.strip()]
             if not parts:

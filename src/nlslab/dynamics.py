@@ -38,8 +38,10 @@ from .spectral import (
     ComplexField,
     Grid,
     SimulationAbort,
+    _abs2,
+    _field_pair,
     _free_multiplier,
-    l2_norm,
+    _squared_norms,
     sup_norm,
 )
 
@@ -78,6 +80,10 @@ class SystemState:
     @property
     def grid(self) -> Grid:
         return self.u1.grid
+
+    def stacked(self) -> np.ndarray:
+        """The pair as a new (2, n) array, rows u1 and u2; the caller may overwrite it."""
+        return np.stack([self.u1.values, self.u2.values])
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,8 @@ def nonlinear_substep(u1_val, u2_val, dt: float, out=None):
         raise ValueError(f"dt must be positive, got {dt}")
     u1 = np.asarray(u1_val, dtype=np.complex128)
     u2 = np.asarray(u2_val, dtype=np.complex128)
-    a = np.atleast_1d(u1.real * u1.real)
-    a += u1.imag * u1.imag
-    b = np.atleast_1d(u2.real * u2.real)
-    b += u2.imag * u2.imag
+    a = np.atleast_1d(_abs2(u1))
+    b = np.atleast_1d(_abs2(u2))
     if not (np.isfinite(a.max()) and np.isfinite(b.max())):
         raise SimulationAbort("non-finite squared modulus in nonlinear substep")
     ra, rb = _decay_factors(a, b, dt)
@@ -238,17 +242,6 @@ def _kick(spec: np.ndarray, work: np.ndarray, dt: float) -> None:
     np.fft.fft(work, out=spec)
 
 
-def _state_from_spectrum(t: float, grid: Grid, spec: np.ndarray) -> SystemState:
-    """The space-side state whose stacked FFT is `spec`: one transform."""
-    vals = np.fft.ifft(spec)
-    vals.flags.writeable = False  # frozen, so the fields share it uncopied
-    return SystemState(t, ComplexField(grid, vals[0], SPACE), ComplexField(grid, vals[1], SPACE))
-
-
-def _stacked_spectrum(state: SystemState) -> np.ndarray:
-    return np.fft.fft(np.stack([state.u1.values, state.u2.values]))
-
-
 def strang_step(state: SystemState, dt: float) -> SystemState:
     """One half-free / full-nonlinear / half-free composition step.
 
@@ -258,35 +251,31 @@ def strang_step(state: SystemState, dt: float) -> SystemState:
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     half = _free_multiplier(state.grid, 0.5 * dt)
-    spec = _stacked_spectrum(state)
+    spec = np.fft.fft(state.stacked())
     spec *= half
     _kick(spec, np.empty_like(spec), dt)
     spec *= half
-    return _state_from_spectrum(state.t + dt, state.grid, spec)
+    return SystemState(state.t + dt, *_field_pair(state.grid, np.fft.ifft(spec), SPACE))
 
 
 def mass(f: ComplexField) -> float:
     """Squared L2 norm."""
-    return l2_norm(f) ** 2
+    return float(_squared_norms(f.values, f.spacing))
 
 
 def dissipation_rate(state: SystemState) -> float:
     """Instantaneous total-mass loss rate 4 * sum |u1|^2 |u2|^2 dx."""
-    v1 = state.u1.values
-    v2 = state.u2.values
-    a = v1.real**2 + v1.imag**2
-    b = v2.real**2 + v2.imag**2
-    return float(4.0 * np.sum(a * b) * state.grid.dx)
+    return float(4.0 * np.sum(_abs2(state.u1.values) * _abs2(state.u2.values)) * state.grid.dx)
 
 
 def _j_norms(state: SystemState) -> list[float]:
     """`j_norm` of both components, ||x U(-t) u_j||, from one stacked transform pair."""
     g = state.grid
-    u = np.stack([state.u1.values, state.u2.values])
+    u = state.stacked()
     if state.t != 0.0:
         u = np.fft.ifft(np.fft.fft(u) * _free_multiplier(g, -state.t))
     u *= g.points
-    return np.sqrt((u.real**2 + u.imag**2).sum(axis=-1) * g.dx).tolist()
+    return np.sqrt(_squared_norms(u, g.dx)).tolist()
 
 
 class TrajectoryRecorder:
@@ -317,7 +306,8 @@ class TrajectoryRecorder:
         self.rows.append(tuple(row))
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.rows, dtype=np.float64)
+        """The rows as a (steps, columns) array; (0, columns) before any call."""
+        return np.asarray(self.rows, dtype=np.float64).reshape(-1, len(self.header))
 
     def column(self, name: str) -> np.ndarray:
         return self.as_array()[:, self.header.index(name)]
@@ -340,14 +330,6 @@ def count_steps(schedule: Schedule) -> int:
         _interval_plan(a * schedule.dt, b * schedule.dt, a, b, schedule)[0]
         for a, b in zip(ks, ks[1:])
     )
-
-
-def _masses(u: np.ndarray, dx: float) -> tuple[float, float]:
-    """Masses of the two rows of a stacked (2, n) space-side pair."""
-    flat = u.view(np.float64)
-    # einsum, not a BLAS dot: threaded BLAS spins a second core for no gain
-    m1, m2 = np.einsum("ij,ij->i", flat, flat) * dx
-    return float(m1), float(m2)
 
 
 def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[SystemState]:
@@ -375,9 +357,9 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
     if abs(state0.t - schedule.times[0]) > 1e-12:
         raise ValueError("initial state time must match the first snapshot time")
     g = state0.grid
-    u0 = np.stack([state0.u1.values, state0.u2.values])
+    u0 = state0.stacked()
     with np.errstate(over="ignore"):
-        m1, m2 = _masses(u0, g.dx)
+        m1, m2 = _squared_norms(u0, g.dx).tolist()
     if not (math.isfinite(m1) and math.isfinite(m2)):
         raise SimulationAbort(f"non-finite initial masses ({m1}, {m2}) at step 0, t = {state0.t:g}")
     tol = 1e-10 * (m1 + m2)
@@ -404,7 +386,7 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
                 _kick(spec, work, h)
                 # the substep output differs from the step-boundary state by
                 # a unitary half-step, so their masses agree to round-off
-                new1, new2 = _masses(work, g.dx)
+                new1, new2 = _squared_norms(work, g.dx).tolist()
                 if not (math.isfinite(new1) and math.isfinite(new2)):
                     raise SimulationAbort("non-finite samples during evolution")
                 if new1 > m1 + tol or new2 > m2 + tol:
@@ -416,7 +398,7 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
                     # an inner boundary state is read from a copy in `work`,
                     # so the spectrum the loop carries on is the same either way
                     boundary = np.multiply(spec, half, out=spec if last else work)
-                    state = _state_from_spectrum(t, g, boundary)
+                    state = SystemState(t, *_field_pair(g, np.fft.ifft(boundary), SPACE))
                     if observer is not None:
                         observer(state)
             except SimulationAbort as err:

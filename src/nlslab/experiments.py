@@ -35,6 +35,8 @@ from .spectral import (
     SPACE,
     ComplexField,
     Grid,
+    _abs2,
+    _squared_norms,
     forward_ft,
     gaussian_profile,
     l2_norm,
@@ -55,6 +57,7 @@ from .scattering import (
     SpectralSnapshot,
     T_ANCHOR,
     TAG_NAMES,
+    _ANCHOR_TOL,
     classify,
     integrate_rho_window,
     m_endpoint,
@@ -103,6 +106,15 @@ def initial_state(grid: Grid, psi1: ComplexField, psi2: ComplexField, epsilon: f
         u1 = ComplexField(grid, epsilon * psi1.values, SPACE)
         u2 = ComplexField(grid, epsilon * psi2.values, SPACE)
     return SystemState(0.0, u1, u2)
+
+
+def _run_inputs(cfg: RunConfig, epsilon: float):
+    """Grid, schedule, both profiles and the initial state of one configuration."""
+    grid = make_grid(cfg.grid_n, cfg.grid_length)
+    schedule = make_schedule(cfg.dt, cfg.t_final, cfg.snapshot_ratio, cfg.grow_after, cfg.growth_cap)
+    psi1 = build_profile(grid, cfg.psi1)
+    psi2 = build_profile(grid, cfg.psi2)
+    return grid, schedule, psi1, psi2, initial_state(grid, psi1, psi2, epsilon)
 
 
 def resolved_band(psi1_hat: ComplexField, psi2_hat: ComplexField, cut: float = BAND_CUT) -> np.ndarray:
@@ -185,54 +197,50 @@ def theorem_defect(
     psi1_hat: ComplexField,
     psi2_hat: ComplexField,
     epsilon: float,
-    band: np.ndarray | None = None,
+    band: np.ndarray,
 ) -> float:
     """Sup-band deviation of the sign profile from its quadratic prediction.
 
     The sup runs over the resolved band only: outside it the prediction is
     below round-off and the sup would measure nothing but noise.
     """
-    if band is None:
-        band = resolved_band(psi1_hat, psi2_hat)
-    delta = np.abs(psi1_hat.values) ** 2 - np.abs(psi2_hat.values) ** 2
+    delta = _abs2(psi1_hat.values) - _abs2(psi2_hat.values)
     dev = np.abs(profile.m_values - epsilon**2 * delta)
     if not np.any(band):
         return 0.0
     return float(np.max(dev[band]))
 
 
-def run_case(cfg: RunConfig, epsilon: float | None = None, observer=None) -> CaseResult:
+def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     """Evolve one configuration and compute all scattering outputs.
 
     Deterministic for fixed inputs.  The classification threshold is
     max(10 * C_quad, 1e-6 * eps^2) with C_quad the realized cross-route
     disagreement max_band |m_endpoint - m_integral|, so it dominates the
     quadrature error actually incurred; a tiny positive floor keeps the
-    threshold usable in the all-zero eps = 0 case.
+    threshold usable in the all-zero eps = 0 case.  A schedule without a
+    snapshot at the t = 2 anchor is rejected before anything is evolved.
     """
     eps = cfg.epsilon_single() if epsilon is None else float(epsilon)
     if cfg.t_final < T_ANCHOR:
         raise ValueError("scattering analysis needs t_final >= 2 (the anchor time)")
     t_start = time.perf_counter()
-    grid = make_grid(cfg.grid_n, cfg.grid_length)
-    schedule = make_schedule(
-        cfg.dt, cfg.t_final, cfg.snapshot_ratio, cfg.grow_after, cfg.growth_cap
-    )
-    psi1 = build_profile(grid, cfg.psi1)
-    psi2 = build_profile(grid, cfg.psi2)
+    grid, schedule, psi1, psi2, state0 = _run_inputs(cfg, eps)
+    at_anchor = np.flatnonzero(np.abs(schedule.times - T_ANCHOR) <= _ANCHOR_TOL)
+    if at_anchor.size == 0:
+        raise ValueError(f"time.dt = {cfg.dt:g} puts no snapshot at the t = 2 anchor")
+    first = int(at_anchor[0])
     psi1_hat = forward_ft(psi1)
     psi2_hat = forward_ft(psi2)
     band = resolved_band(psi1_hat, psi2_hat)
 
-    states = evolve(initial_state(grid, psi1, psi2, eps), schedule, observer)
+    states = evolve(state0, schedule)
     spectra = [modified_amplitudes(s) for s in states]
 
-    first = next(i for i, s in enumerate(states) if s.t >= T_ANCHOR - 1e-9)
-    anchor_snap = spectra[first]
     m_int = m_integral(states[first:], spectra[first:])
     m_end = m_endpoint(spectra[-1])
 
-    d1, d2 = lemma_defect(anchor_snap, psi1_hat, psi2_hat, eps)
+    d1, d2 = lemma_defect(spectra[first], psi1_hat, psi2_hat, eps)
     t_defect = theorem_defect(m_end, psi1_hat, psi2_hat, eps, band)
     if np.any(band):
         c_quad = float(np.max(np.abs(m_end.m_values - m_int.m_values)[band]))
@@ -337,14 +345,14 @@ class ScenarioReport:
 
 
 def _band_restricted_norm(values: np.ndarray, band: np.ndarray, dxi: float) -> float:
-    return float(np.sqrt(np.sum(np.abs(values[band]) ** 2) * dxi))
+    return float(np.sqrt(_squared_norms(values[band], dxi)))
 
 
 def _scenario_report(name: str, case: CaseResult) -> ScenarioReport:
-    a1 = np.abs(case.psi1_hat.values)
-    a2 = np.abs(case.psi2_hat.values)
-    dom1 = a1 > a2
-    dom2 = a2 > a1
+    p1 = _abs2(case.psi1_hat.values)
+    p2 = _abs2(case.psi2_hat.values)
+    dom1 = p1 > p2
+    dom2 = p2 > p1
     dxi = case.grid.dxi
     eps = case.epsilon
 
@@ -357,7 +365,7 @@ def _scenario_report(name: str, case: CaseResult) -> ScenarioReport:
     tags = case.tags()
     present = tuple(TAG_NAMES[v] for v in (1, -1, 0) if np.any(tags == v))
 
-    strong = a1**2 > STRONG_BAND_FRACTION * np.max(a1) ** 2 if np.max(a1) > 0 else np.zeros_like(dom1)
+    strong = p1 > STRONG_BAND_FRACTION * np.max(p1)
     m_min_strong = float(np.min(case.m_end.m_values[strong])) if np.any(strong) else 0.0
 
     times = np.array([s.t for s in case.states])
@@ -391,8 +399,8 @@ def corollary_scenarios(
     its amplitude norm should decrease toward extinction while the sign
     profile stays positive on the populated band.  The symmetric scenario
     has an identically zero profile and everything classified as vanishing.
-    If `base` is given, its grid and time fields override the defaults
-    while each scenario keeps its own data and amplitude.
+    If `base` is given, each scenario runs it with the scenario's own data
+    and amplitude in place of base's.
     """
     presets = {"A": SCENARIO_A, "B": SCENARIO_B, "symmetric": SCENARIO_SYMMETRIC}
     reports: dict[str, ScenarioReport] = {}
@@ -401,17 +409,7 @@ def corollary_scenarios(
             raise ValueError(f"unknown scenario {name!r}; pick from {sorted(presets)}")
         cfg = presets[name]
         if base is not None:
-            cfg = replace(
-                cfg,
-                grid_n=base.grid_n,
-                grid_length=base.grid_length,
-                dt=base.dt,
-                t_final=base.t_final,
-                snapshot_ratio=base.snapshot_ratio,
-                grow_after=base.grow_after,
-                growth_cap=base.growth_cap,
-                output_dir=base.output_dir,
-            )
+            cfg = replace(base, psi1=cfg.psi1, psi2=cfg.psi2, epsilons=cfg.epsilons)
         reports[name] = _scenario_report(name, run_case(cfg))
     return reports
 
@@ -433,11 +431,10 @@ def apriori_diagnostics(recorder: TrajectoryRecorder, epsilon: float) -> Apriori
     the log-log slope of ||u|| + ||Ju|| against 1 + t (needs a recorder
     with J-norm columns, otherwise None is reported).
     """
-    data = recorder.as_array()
-    if len(data) == 0:
+    if not recorder.rows:
         raise ValueError("empty trajectory record")
-    t = data[:, recorder.header.index("t")]
-    sup = data[:, recorder.header.index("sup_norm")]
+    t = recorder.column("t")
+    sup = recorder.column("sup_norm")
     if epsilon == 0.0 or np.max(sup) == 0.0:
         return AprioriReport(0.0, 0.0, None, None)
     scaled = sup * np.sqrt(1.0 + t) / epsilon
@@ -445,10 +442,7 @@ def apriori_diagnostics(recorder: TrajectoryRecorder, epsilon: float) -> Apriori
 
     if not recorder.with_j_norm:
         return AprioriReport(float(scaled[i]), float(t[i]), None, None)
-    m1 = data[:, recorder.header.index("mass1")]
-    m2 = data[:, recorder.header.index("mass2")]
-    j1 = data[:, recorder.header.index("j_norm1")]
-    j2 = data[:, recorder.header.index("j_norm2")]
+    m1, m2, j1, j2 = (recorder.column(c) for c in ("mass1", "mass2", "j_norm1", "j_norm2"))
     quantity = np.sqrt(m1 + m2) + np.sqrt(j1**2 + j2**2)
     slope, intercept = np.polyfit(np.log(1.0 + t), np.log(quantity), 1)
     return AprioriReport(float(scaled[i]), float(t[i]), float(slope), float(intercept))

@@ -42,7 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FREQUENCY, ComplexField, Grid, SimulationAbort, _back_propagated_ft
+from .spectral import (
+    FREQUENCY,
+    ComplexField,
+    Grid,
+    SimulationAbort,
+    _abs2,
+    _back_propagated_ft,
+    _field_pair,
+)
 from .dynamics import SystemState
 
 __all__ = [
@@ -133,17 +141,8 @@ def modified_amplitudes(state: SystemState) -> SpectralSnapshot:
     multiplier; components are transformed independently, so swapping u1
     and u2 swaps alpha1 and alpha2 bitwise.
     """
-    g = state.grid
-    spec = np.fft.fft(np.stack([state.u1.values, state.u2.values]))
-    alpha = _back_propagated_ft(g, spec, state.t)
-    alpha.flags.writeable = False  # frozen, so the fields share it uncopied
-    return SpectralSnapshot(
-        state.t, ComplexField(g, alpha[0], FREQUENCY), ComplexField(g, alpha[1], FREQUENCY)
-    )
-
-
-def _abs2(values: np.ndarray) -> np.ndarray:
-    return values.real**2 + values.imag**2
+    alpha = _back_propagated_ft(state.grid, np.fft.fft(state.stacked()), state.t)
+    return SpectralSnapshot(state.t, *_field_pair(state.grid, alpha, FREQUENCY))
 
 
 def rho(state: SystemState, snap: SpectralSnapshot | None = None) -> ComplexField:
@@ -175,9 +174,8 @@ def rho(state: SystemState, snap: SpectralSnapshot | None = None) -> ComplexFiel
     a1 = snap.alpha1.values
     a2 = snap.alpha2.values
 
-    v1 = state.u1.values
-    v2 = state.u2.values
-    nonlin = np.stack([_abs2(v2) * v1, _abs2(v1) * v2])
+    nonlin = state.stacked()
+    nonlin *= _abs2(nonlin[::-1])  # rows |u2|^2 u1 and |u1|^2 u2
     if not np.all(np.isfinite(nonlin)):
         raise SimulationAbort(f"non-finite nonlinearity in rho at t = {t}")
     g1, g2 = _back_propagated_ft(g, np.fft.fft(nonlin), t)
@@ -205,6 +203,14 @@ def _fit_tail_exponent(times: np.ndarray, amplitudes: np.ndarray) -> float:
     return max(-slope, 1.05)
 
 
+def _rho_rows(states: list[SystemState], spectra: list[SpectralSnapshot | None]) -> np.ndarray:
+    """Real rho of each state, one row per state, reusing each given snapshot."""
+    rows = np.empty((len(states), states[0].grid.n), dtype=np.float64)
+    for i, (s, sp) in enumerate(zip(states, spectra)):
+        rows[i] = rho(s, sp).values.real
+    return rows
+
+
 def m_integral(states: list[SystemState], spectra: list[SpectralSnapshot] | None = None) -> MProfile:
     """Anchored route: time-2 endpoint difference plus a trapezoid of rho.
 
@@ -227,11 +233,8 @@ def m_integral(states: list[SystemState], spectra: list[SpectralSnapshot] | None
         raise ValueError(f"{len(spectra)} spectra given for {len(states)} snapshots")
     grid = states[0].grid
 
-    anchor = _endpoint_difference(spectra[0])
-    rho_vals = np.empty((len(states), grid.n), dtype=np.float64)
-    for i, (s, sp) in enumerate(zip(states, spectra)):
-        rho_vals[i] = rho(s, sp).values.real
-    m_vals = anchor + np.trapezoid(rho_vals, times, axis=0)
+    rho_vals = _rho_rows(states, spectra)
+    m_vals = _endpoint_difference(spectra[0]) + np.trapezoid(rho_vals, times, axis=0)
 
     t_final = times[-1]
     decade = times >= t_final / 10.0
@@ -259,8 +262,7 @@ def integrate_rho_window(states: list[SystemState], t_lo: float, t_hi: float) ->
     if len(window) < 2:
         raise ValueError(f"need at least 2 snapshots in [{t_lo}, {t_hi}]")
     times = np.array([s.t for s in window])
-    vals = np.stack([rho(s).values.real for s in window])
-    return np.trapezoid(vals, times, axis=0)
+    return np.trapezoid(_rho_rows(window, [None] * len(window)), times, axis=0)
 
 
 def orthogonality_defect(snapshot: SpectralSnapshot) -> float:

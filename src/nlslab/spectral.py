@@ -201,9 +201,29 @@ def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
     return np.exp(-0.5j * t * grid._frequencies_fft_order**2)
 
 
+def _abs2(values: np.ndarray) -> np.ndarray:
+    """Squared moduli |v|^2 = re^2 + im^2, in two allocations and no sqrt."""
+    a = values.real * values.real
+    a += values.imag * values.imag
+    return a
+
+
+def _squared_norms(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Discrete squared L2 norms sum |v|^2 * spacing along the last axis."""
+    # einsum over the float view, not a BLAS dot: threaded BLAS spins a second core for no gain
+    flat = np.ascontiguousarray(values).view(np.float64)
+    return np.einsum("...j,...j->...", flat, flat) * spacing
+
+
+def _field_pair(grid: Grid, rows: np.ndarray, side: str) -> tuple[ComplexField, ComplexField]:
+    """Freeze a fresh (2, n) array and wrap its rows as two fields sharing it uncopied."""
+    rows.flags.writeable = False
+    return ComplexField(grid, rows[0], side), ComplexField(grid, rows[1], side)
+
+
 def l2_norm(f: ComplexField) -> float:
     """Discrete L2 norm sqrt(sum |f|^2 * spacing), side-aware."""
-    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.spacing))
+    return float(np.sqrt(_squared_norms(f.values, f.spacing)))
 
 
 def sup_norm(f: ComplexField) -> float:
@@ -243,5 +263,5 @@ def gaussian_profile(
     return ComplexField(grid, vals, SPACE)
 
 
-def zero_field(grid: Grid, side: str = SPACE) -> ComplexField:
-    return ComplexField(grid, np.zeros(grid.n, dtype=np.complex128), side)
+def zero_field(grid: Grid) -> ComplexField:
+    return ComplexField(grid, np.zeros(grid.n, dtype=np.complex128), SPACE)

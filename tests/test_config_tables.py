@@ -70,6 +70,10 @@ class TestParseConfig:
             "time.snapshot_ratio = nan",
             "time.grow_after = nan",
             "time.growth_cap = nan",
+            "data.psi1 = gaussian(nan, 1, 0, 0)",
+            "data.psi1 = gaussian(1, 1, inf, 0)",
+            "data.psi2 = gaussian(1, 1, nan, 0)",
+            "data.psi2 = gaussian(1, 1, 0, inf)",
         ],
     )
     def test_non_finite_values_rejected(self, line):

@@ -402,6 +402,12 @@ class TestMassAndDissipation:
             assert j1[i] == pytest.approx(j_norm(s.u1, s.t), rel=1e-13)
             assert j2[i] == pytest.approx(j_norm(s.u2, s.t), rel=1e-13)
 
+    def test_empty_recorder_has_header_wide_columns(self):
+        rec = TrajectoryRecorder(with_j_norm=True)
+        assert rec.as_array().shape == (0, len(rec.header))
+        for name in rec.header:
+            assert rec.column(name).shape == (0,)
+
     def test_mass_is_squared_norm(self, random_field):
         assert mass(random_field) == pytest.approx(l2_norm(random_field) ** 2, rel=1e-14)
 

@@ -135,6 +135,23 @@ class TestRunCase:
             run_case(replace(TINY_CFG, t_final=1.99), 0.1)
         assert calls == []
 
+    @pytest.mark.parametrize("dt, t_final", [(0.07, 20.0), (0.8, 2.0)])
+    def test_schedule_without_anchor_snapshot_rejected_before_evolving(self, monkeypatch, dt, t_final):
+        # dt = 0.07 puts the nearest snapshot at 2.03; dt = 0.8 with T = 2
+        # rounds the last snapshot down to 1.6, leaving none at or past 2
+        import nlslab.experiments as experiments
+
+        calls = []
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "evolve", counting_evolve)
+        with pytest.raises(ValueError, match="no snapshot at the t = 2 anchor"):
+            run_case(replace(TINY_CFG, dt=dt, t_final=t_final), 0.1)
+        assert calls == []
+
     def test_epsilon_scaling_sanity(self):
         # halving eps halves the initial norm exactly and nearly halves it at t = 1
         grid = make_grid(TINY_CFG.grid_n, TINY_CFG.grid_length)

@@ -16,6 +16,7 @@ from nlslab import (
     sup_norm,
     zero_field,
 )
+from nlslab.spectral import _abs2, _squared_norms
 from conftest import dft_quadrature_oracle, idft_quadrature_oracle
 
 PI4 = np.pi**0.25  # l2 norm of exp(-x^2/2)
@@ -207,6 +208,28 @@ class TestNorms:
     def test_frequency_side_norm_uses_dxi(self, grid):
         ones = ComplexField(grid, np.ones(grid.n, complex), FREQUENCY)
         assert np.isclose(l2_norm(ones), np.sqrt(grid.n * grid.dxi))
+
+    def test_squared_moduli_over_float_range(self):
+        # the in-place form rounds exactly like re**2 + im**2, from 1e-300 to 1e150
+        rng = np.random.default_rng(7)
+        mag = 10.0 ** rng.uniform(-300, 150, (2, 16384))
+        v = mag[0] * rng.standard_normal(16384) + 1j * mag[1] * rng.standard_normal(16384)
+        assert np.array_equal(_abs2(v), v.real**2 + v.imag**2)
+
+    def test_squared_norms_of_stacked_rows(self, grid):
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((2, grid.n)) + 1j * rng.standard_normal((2, grid.n))
+        got = _squared_norms(rows, grid.dx)
+        want = np.sum(np.abs(rows) ** 2, axis=-1) * grid.dx
+        assert got.shape == (2,)
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+        # a frozen strided input is kept uncopied by ComplexField; its norm
+        # is that of the same samples held contiguously
+        base = np.repeat(rows[0], 2)
+        base.flags.writeable = False
+        strided = ComplexField(grid, base[::2], SPACE)
+        assert not strided.values.flags.c_contiguous
+        assert l2_norm(strided) == l2_norm(ComplexField(grid, rows[0], SPACE))
 
 
 class TestJNorm:
