@@ -34,7 +34,7 @@ from .dynamics import (
     nonlinear_substep,
     strang_step,
 )
-from .scattering import classify, m_endpoint, m_integral, modified_amplitudes, rho
+from .scattering import classify, m_endpoint, modified_amplitudes, rho
 from .experiments import (
     OrderFit,
     SweepRecord,
@@ -291,28 +291,18 @@ def _verify_checks():
         sm, s0, sp = by_t[round(4.0 - h, 6)], by_t[4.0], by_t[round(4.0 + h, 6)]
 
         def diff(s):
-            sp_ = modified_amplitudes(s)
-            return np.abs(sp_.alpha1.values) ** 2 - np.abs(sp_.alpha2.values) ** 2
+            return m_endpoint(modified_amplitudes(s)).m_values
 
         fd = (diff(sp) - diff(sm)) / (2 * h)
-        r = rho(s0).values.real
+        r = rho(s0)
         rel = np.max(np.abs(fd - r)) / np.max(np.abs(r))
-        sym_state = initial_state(grid, psi1, psi1, 0.2)
         psym = evolve(initial_state(grid, psi1, psi1, 0.2), make_schedule(dt=0.01, t_final=2.0, grow_after=np.inf))[-1]
-        sym_zero = np.max(np.abs(rho(psym).values))
+        sym_zero = np.max(np.abs(rho(psym)))
         return rel < 1e-3 and sym_zero == 0.0, f"identity mismatch {rel:.2e}, symmetric rho {sym_zero:.1e}"
 
     def check_m_routes():
-        psi1 = gaussian_profile(grid, 1.0, 1.0, 0.0, 0.0)
-        psi2 = gaussian_profile(grid, 0.5, 1.0, 0.0, 0.0)
         eps = 0.1
-        sched = make_schedule(dt=0.01, t_final=50.0)
-        snaps = evolve(initial_state(grid, psi1, psi2, eps), sched)
-        anchored = [s for s in snaps if s.t >= 2.0 - 1e-9]
-        m_int = m_integral(anchored)
-        m_end = m_endpoint(modified_amplitudes(snaps[-1]))
-        band = (np.abs(forward_ft(psi1).values) + np.abs(forward_ft(psi2).values)) > 1e-8
-        gap = np.max(np.abs(m_end.m_values - m_int.m_values)[band])
+        gap = run_case(RunConfig(grid_n=grid.n, grid_length=grid.length, t_final=50.0), eps).record.c_quad
         return gap < 1e-2 * eps**2, f"cross-route gap {gap:.2e} (want < {1e-2 * eps**2:.1e})"
 
     def check_m_decoupled():

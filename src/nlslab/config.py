@@ -3,8 +3,9 @@
 The format is deliberately flat: one dotted key per line, `#` comments and
 blank lines ignored, unknown keys rejected with their line number.  All
 numeric output uses 17 significant digits so a serialize/parse round trip
-reproduces every float bitwise.  mprofile, sweep and scenario need a time.dt
-whose steps k * dt hit the t = 2 anchor (dt = 0.07 does not: 2.03 is nearest).
+reproduces every float bitwise.  time.t_final must be a whole number of
+time.dt steps, and mprofile, sweep and scenario need a time.dt whose steps
+k * dt hit the t = 2 anchor (dt = 0.07 does not: 2.03 is nearest).
 
 Recognized keys (defaults in parentheses):
 

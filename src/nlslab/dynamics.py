@@ -60,6 +60,11 @@ __all__ = [
 
 _TINY = np.finfo(np.float64).tiny
 
+# The sign profile's anchor time, where the snapshot ladder starts, and the
+# tolerance within which two snapshot times are the same time.
+T_ANCHOR = 2.0
+TIME_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SystemState:
@@ -133,8 +138,9 @@ def make_schedule(
     """Default snapshot plan: {0, 2} plus a geometric ladder from 2 to t_final.
 
     The time-2 snapshot anchors the sign-profile construction, so it is
-    always included when t_final allows.  All requested times are rounded
-    to the dt lattice and deduplicated.
+    always included when t_final allows.  t_final must be a whole number of
+    dt steps; the other requested times are rounded to the dt lattice and
+    deduplicated.
     """
     if not (np.isfinite(snapshot_ratio) and snapshot_ratio > 1):
         raise ValueError(f"snapshot ratio must exceed 1, got {snapshot_ratio}")
@@ -142,9 +148,15 @@ def make_schedule(
         raise ValueError(f"dt must be positive, got {dt}")
     if not np.isfinite(t_final) or t_final < 0:
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    reached = round(t_final / dt) * dt
+    if abs(reached - t_final) > TIME_TOL * max(1.0, t_final):
+        raise ValueError(
+            f"t_final = {t_final:g} is not a whole number of dt = {dt:g} steps; "
+            f"the run would end at t = {reached:g}"
+        )
     wanted = [0.0]
-    if t_final >= 2.0:
-        t = 2.0
+    if t_final >= T_ANCHOR:
+        t = T_ANCHOR
         while t < t_final:
             wanted.append(t)
             t *= snapshot_ratio

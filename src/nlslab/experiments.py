@@ -44,6 +44,7 @@ from .spectral import (
     zero_field,
 )
 from .dynamics import (
+    T_ANCHOR,
     Schedule,
     SystemState,
     TrajectoryRecorder,
@@ -55,9 +56,8 @@ from .dynamics import (
 from .scattering import (
     MProfile,
     SpectralSnapshot,
-    T_ANCHOR,
     TAG_NAMES,
-    _ANCHOR_TOL,
+    _anchor_index,
     classify,
     integrate_rho_window,
     m_endpoint,
@@ -117,9 +117,9 @@ def _run_inputs(cfg: RunConfig, epsilon: float):
     return grid, schedule, psi1, psi2, initial_state(grid, psi1, psi2, epsilon)
 
 
-def resolved_band(psi1_hat: ComplexField, psi2_hat: ComplexField, cut: float = BAND_CUT) -> np.ndarray:
-    """Frequencies carrying data: |psi1_hat| + |psi2_hat| above the cut."""
-    return (np.abs(psi1_hat.values) + np.abs(psi2_hat.values)) > cut
+def resolved_band(psi1_hat: ComplexField, psi2_hat: ComplexField) -> np.ndarray:
+    """Frequencies carrying data: |psi1_hat| + |psi2_hat| above BAND_CUT."""
+    return (np.abs(psi1_hat.values) + np.abs(psi2_hat.values)) > BAND_CUT
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,7 @@ def lemma_defect(
     epsilon: float,
 ) -> tuple[float, float]:
     """Sup deviation of the time-2 amplitudes from the linear response."""
-    if abs(snapshot.t - T_ANCHOR) > 1e-9:
-        raise ValueError(f"lemma defect is anchored at t = 2, got t = {snapshot.t}")
+    _anchor_index([snapshot.t])  # the lemma is stated at the anchor
     d1 = float(np.max(np.abs(snapshot.alpha1.values - epsilon * psi1_hat.values)))
     d2 = float(np.max(np.abs(snapshot.alpha2.values - epsilon * psi2_hat.values)))
     return d1, d2
@@ -226,10 +225,7 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
         raise ValueError("scattering analysis needs t_final >= 2 (the anchor time)")
     t_start = time.perf_counter()
     grid, schedule, psi1, psi2, state0 = _run_inputs(cfg, eps)
-    at_anchor = np.flatnonzero(np.abs(schedule.times - T_ANCHOR) <= _ANCHOR_TOL)
-    if at_anchor.size == 0:
-        raise ValueError(f"time.dt = {cfg.dt:g} puts no snapshot at the t = 2 anchor")
-    first = int(at_anchor[0])
+    anchor = _anchor_index(schedule.times)
     psi1_hat = forward_ft(psi1)
     psi2_hat = forward_ft(psi2)
     band = resolved_band(psi1_hat, psi2_hat)
@@ -237,10 +233,10 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     states = evolve(state0, schedule)
     spectra = [modified_amplitudes(s) for s in states]
 
-    m_int = m_integral(states[first:], spectra[first:])
+    m_int = m_integral(states, spectra)
     m_end = m_endpoint(spectra[-1])
 
-    d1, d2 = lemma_defect(spectra[first], psi1_hat, psi2_hat, eps)
+    d1, d2 = lemma_defect(spectra[anchor], psi1_hat, psi2_hat, eps)
     t_defect = theorem_defect(m_end, psi1_hat, psi2_hat, eps, band)
     if np.any(band):
         c_quad = float(np.max(np.abs(m_end.m_values - m_int.m_values)[band]))
@@ -300,8 +296,8 @@ class SweepResult:
     tail_subtracted: bool
 
 
-def run_sweep(cfg: RunConfig, epsilons=None) -> SweepResult:
-    """Run one case per amplitude and fit the remainder orders.
+def run_sweep(cfg: RunConfig) -> SweepResult:
+    """Run one case per amplitude of `cfg.epsilon_sweep()` and fit the remainder orders.
 
     The theorem fit subtracts each record's estimated truncation tail from
     its defect first, since the finite end time biases the raw defect at
@@ -309,8 +305,7 @@ def run_sweep(cfg: RunConfig, epsilons=None) -> SweepResult:
     truncation error is not resolvable at this end time), the fit falls
     back to the raw defects and reports tail_subtracted = False.
     """
-    eps_list = tuple(epsilons) if epsilons is not None else cfg.epsilon_sweep()
-    records = [run_case(cfg, eps).record for eps in eps_list]
+    records = [run_case(cfg, eps).record for eps in cfg.epsilon_sweep()]
     eps = np.array([r.epsilon for r in records])
     raw = np.array([r.theorem_defect for r in records])
     adjusted = raw - np.array([r.tail_estimate for r in records])

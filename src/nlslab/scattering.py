@@ -24,7 +24,7 @@ whose sign decides which component survives at that frequency.  Two
 independent routes compute it:
 
 * the anchored route (`m_integral`): time-2 anchor plus a trapezoid of the
-  integrand rho over the snapshot ladder;
+  integrand rho over the snapshot ladder from the anchor on;
 * the endpoint route (`m_endpoint`): because d alpha_j/dt = -FT U(-t) N_j(u)
   makes rho exactly the time derivative of |alpha_1|^2 - |alpha_2|^2 (the
   1/t model terms cancel in the real-part combination), the integral
@@ -51,7 +51,7 @@ from .spectral import (
     _back_propagated_ft,
     _field_pair,
 )
-from .dynamics import SystemState
+from .dynamics import T_ANCHOR, TIME_TOL, SystemState
 
 __all__ = [
     "SpectralSnapshot",
@@ -68,9 +68,6 @@ __all__ = [
     "BOTH_VANISH",
     "TAG_NAMES",
 ]
-
-T_ANCHOR = 2.0
-_ANCHOR_TOL = 1e-9
 
 FIRST_SURVIVES = 1
 BOTH_VANISH = 0
@@ -115,7 +112,6 @@ class MProfile:
     grid: Grid
     m_values: np.ndarray
     method: str
-    t_anchor: float
     t_final: float
     tail_estimate: np.ndarray | None = None
 
@@ -145,8 +141,8 @@ def modified_amplitudes(state: SystemState) -> SpectralSnapshot:
     return SpectralSnapshot(state.t, *_field_pair(state.grid, alpha, FREQUENCY))
 
 
-def rho(state: SystemState, snap: SpectralSnapshot | None = None) -> ComplexField:
-    """Integrand of the sign profile's tail, evaluated from one state.
+def rho(state: SystemState, snap: SpectralSnapshot | None = None) -> np.ndarray:
+    """Integrand of the sign profile's tail on the frequency grid, from one state.
 
     rho = 2 Re[ conj(alpha_1) R_1 - conj(alpha_2) R_2 ] where R_j compares
     the back-propagated true nonlinearity with its resonant 1/t model:
@@ -155,13 +151,13 @@ def rho(state: SystemState, snap: SpectralSnapshot | None = None) -> ComplexFiel
 
     and symmetrically for R_2.  The 1/t terms cancel in the combination, so
     rho equals the instantaneous rate of change of |alpha_1|^2 - |alpha_2|^2;
-    the samples are exactly real by construction, and swapping the
-    components negates them bitwise.
+    the samples are exactly real by construction, returned as one float64
+    row, and swapping the components negates them bitwise.
 
     `snap`, the state's own `modified_amplitudes`, is reused when given;
     otherwise it is computed here.  The two nonlinearities cost one more
     stacked FFT call and are back-propagated in closed form like the
-    amplitudes.  A non-finite nonlinearity aborts the run.
+    amplitudes.  A non-finite nonlinearity or sample aborts the run.
     """
     t = state.t
     if t <= 0:
@@ -183,7 +179,9 @@ def rho(state: SystemState, snap: SpectralSnapshot | None = None) -> ComplexFiel
     r1 = _abs2(a2) * a1 / t - g1
     r2 = _abs2(a1) * a2 / t - g2
     vals = 2.0 * np.real(np.conj(a1) * r1 - np.conj(a2) * r2)
-    return ComplexField(g, vals.astype(np.complex128), FREQUENCY)
+    if not np.all(np.isfinite(vals)):
+        raise SimulationAbort(f"non-finite rho at t = {t}")
+    return vals
 
 
 def _endpoint_difference(snap: SpectralSnapshot) -> np.ndarray:
@@ -204,34 +202,42 @@ def _fit_tail_exponent(times: np.ndarray, amplitudes: np.ndarray) -> float:
 
 
 def _rho_rows(states: list[SystemState], spectra: list[SpectralSnapshot | None]) -> np.ndarray:
-    """Real rho of each state, one row per state, reusing each given snapshot."""
+    """rho of each state, one row per state, reusing each given snapshot."""
     rows = np.empty((len(states), states[0].grid.n), dtype=np.float64)
     for i, (s, sp) in enumerate(zip(states, spectra)):
-        rows[i] = rho(s, sp).values.real
+        rows[i] = rho(s, sp)
     return rows
+
+
+def _anchor_index(times) -> int:
+    """Index of the snapshot time at the t = 2 anchor; raises if there is none."""
+    gap = np.abs(np.asarray(times, dtype=np.float64) - T_ANCHOR)
+    nearest = float(np.min(gap, initial=np.inf))
+    if not nearest <= TIME_TOL:
+        raise ValueError(f"no snapshot at the t = 2 anchor (the nearest is {nearest:g} away)")
+    return int(np.argmin(gap))
 
 
 def m_integral(states: list[SystemState], spectra: list[SpectralSnapshot] | None = None) -> MProfile:
     """Anchored route: time-2 endpoint difference plus a trapezoid of rho.
 
-    Expects system snapshots whose first time is the anchor t = 2 and whose
-    last is the truncation time T; `spectra`, their modified amplitudes in
-    the same order, are reused when given.  The neglected tail beyond T is
-    estimated per frequency by extrapolating |rho| ~ t^-p, with p fitted on
-    the last decade of snapshot times, and attached to the returned profile.
+    Expects system snapshots in ascending time, one of them at the anchor
+    t = 2 and the last at the truncation time T; earlier snapshots are
+    skipped.  `spectra`, their modified amplitudes in the same order, are
+    reused when given.  The neglected tail beyond T is estimated per
+    frequency by extrapolating |rho| ~ t^-p, with p fitted on the last
+    decade of snapshot times, and attached to the returned profile.
     """
-    if len(states) < 3:
-        raise ValueError("integral route needs at least 3 snapshots")
+    if spectra is not None and len(spectra) != len(states):
+        raise ValueError(f"{len(spectra)} spectra given for {len(states)} snapshots")
     times = np.array([s.t for s in states], dtype=np.float64)
-    if abs(times[0] - T_ANCHOR) > max(_ANCHOR_TOL, 1e-12 * T_ANCHOR):
-        raise ValueError(f"first snapshot must sit at the t = 2 anchor, got {times[0]}")
     if np.any(np.diff(times) <= 0):
         raise ValueError("snapshot times must be strictly ascending")
-    if spectra is None:
-        spectra = [modified_amplitudes(s) for s in states]
-    elif len(spectra) != len(states):
-        raise ValueError(f"{len(spectra)} spectra given for {len(states)} snapshots")
-    grid = states[0].grid
+    first = _anchor_index(times)
+    if len(states) - first < 3:
+        raise ValueError("integral route needs at least 3 snapshots from the anchor on")
+    states, times = states[first:], times[first:]
+    spectra = [modified_amplitudes(s) for s in states] if spectra is None else spectra[first:]
 
     rho_vals = _rho_rows(states, spectra)
     m_vals = _endpoint_difference(spectra[0]) + np.trapezoid(rho_vals, times, axis=0)
@@ -240,25 +246,19 @@ def m_integral(states: list[SystemState], spectra: list[SpectralSnapshot] | None
     decade = times >= t_final / 10.0
     p = _fit_tail_exponent(times[decade], np.max(np.abs(rho_vals[decade]), axis=1))
     tail = np.abs(rho_vals[-1]) * t_final / (p - 1.0)
-    return MProfile(grid, m_vals, "integral", T_ANCHOR, t_final, tail)
+    return MProfile(states[0].grid, m_vals, "integral", t_final, tail)
 
 
 def m_endpoint(final_snapshot: SpectralSnapshot) -> MProfile:
     """Telescoped route: endpoint difference |alpha_1(T)|^2 - |alpha_2(T)|^2."""
-    if final_snapshot.t < T_ANCHOR - _ANCHOR_TOL:
+    if final_snapshot.t < T_ANCHOR - TIME_TOL:
         raise ValueError("endpoint route needs T >= 2")
-    return MProfile(
-        final_snapshot.grid,
-        _endpoint_difference(final_snapshot),
-        "endpoint",
-        T_ANCHOR,
-        final_snapshot.t,
-    )
+    return MProfile(final_snapshot.grid, _endpoint_difference(final_snapshot), "endpoint", final_snapshot.t)
 
 
 def integrate_rho_window(states: list[SystemState], t_lo: float, t_hi: float) -> np.ndarray:
     """Trapezoid of rho over the snapshots with t in [t_lo, t_hi], per frequency."""
-    window = [s for s in states if t_lo - 1e-9 <= s.t <= t_hi + 1e-9]
+    window = [s for s in states if t_lo - TIME_TOL <= s.t <= t_hi + TIME_TOL]
     if len(window) < 2:
         raise ValueError(f"need at least 2 snapshots in [{t_lo}, {t_hi}]")
     times = np.array([s.t for s in window])

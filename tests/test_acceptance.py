@@ -216,7 +216,7 @@ def test_criterion_06_rho_identity():
             endpoint_difference(by_t[round(t + h, 9)])
             - endpoint_difference(by_t[round(t - h, 9)])
         ) / (2 * h)
-        r = rho(by_t[round(t, 9)]).values.real
+        r = rho(by_t[round(t, 9)])
         rels.append(np.max(np.abs(fd - r)) / np.max(np.abs(r)))
     ok = all(rel < 1e-3 for rel in rels)
     report(

@@ -1,31 +1,53 @@
-"""The names the benchmark's tracer and runner bind must resolve in the package.
+"""The names and results the benchmark's tracer and runner use must resolve in the package.
 
 `perfbench/tracing.py` wraps the functions and methods it lists by module
 and attribute name, and the benchmark runner patches `run_case` and
-`write_table` on `nlslab.cli` by name.  A refactor that renames or moves one
-of them would break the traced benchmark without failing any other test.
+`write_table` on `nlslab.cli` by name and checks each run through the
+attributes of the `CaseResult` it gets back.  A refactor that renames or
+moves one of them would break the benchmark without failing any other test.
 """
 
 import importlib
 import importlib.util
+import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import nlslab
 import nlslab.cli
 import nlslab.experiments
 import nlslab.tables
+from nlslab.config import SCENARIO_B
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+@pytest.fixture(scope="module")
+def runner():
+    """perfbench/runner.py, loaded with perfbench/ on sys.path for its `workloads` import."""
+    saved_path = list(sys.path)
+    had_workloads = "workloads" in sys.modules
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return _load("perfbench_runner", PERFBENCH / "runner.py")
+    finally:
+        sys.path[:] = saved_path
+        if not had_workloads:
+            sys.modules.pop("workloads", None)
+
+
 def test_traced_functions_and_methods_resolve():
-    tracing = _load_tracing()
+    tracing = _load("perfbench_tracing", PERFBENCH / "tracing.py")
     assert tracing.FUNCTIONS and tracing.METHODS
     for span, module, attr in tracing.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), attr, None)), span
@@ -37,3 +59,15 @@ def test_traced_functions_and_methods_resolve():
 def test_cli_binds_the_package_functions_the_runner_patches():
     assert nlslab.cli.run_case is nlslab.experiments.run_case
     assert nlslab.cli.write_table is nlslab.tables.write_table
+
+
+def test_runner_checks_pass_on_a_small_case(runner):
+    case = nlslab.run_case(replace(SCENARIO_B, grid_n=256, grid_length=64.0, t_final=20.0))
+    # every CaseResult attribute Runner.check, m_profile and threshold read
+    masses = [(nlslab.mass(s.u1), nlslab.mass(s.u2)) for s in case.states]
+    assert runner.check_masses(masses) == []
+    assert np.isfinite(case.record.c_quad)
+    assert case.m_end.m_values.shape == (256,)
+    assert case.record.threshold > 0
+    assert runner.check_bigbox(case) == []
+    assert str(PERFBENCH) not in sys.path

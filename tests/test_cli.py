@@ -110,6 +110,16 @@ class TestEvolveCommand:
         assert main(["evolve", cfg]) == 1
         assert "single epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, dt, t_final, reached", [("evolve", 0.8, 2, "1.6"), ("mprofile", 0.03, 400, "399.99")]
+    )
+    def test_t_final_off_the_dt_lattice_is_validation_error(self, tmp_path, capsys, command, dt, t_final, reached):
+        text = TINY.replace("time.dt = 0.01", f"time.dt = {dt}").replace("time.t_final = 5", f"time.t_final = {t_final}")
+        cfg, out = write_cfg(tmp_path, text)
+        assert main([command, cfg]) == 1
+        assert f"the run would end at t = {reached}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_table_filter_respected(self, tmp_path):
         cfg, out = write_cfg(tmp_path, TINY + "outputs.tables = observers\n")
         assert main(["evolve", cfg]) == 0

@@ -227,6 +227,17 @@ class TestScheduleAndEvolve:
         with pytest.raises(ValueError):
             Schedule(0.01, 10.0, (0, 2000))
 
+    @pytest.mark.parametrize("dt, t_final, reached", [(0.8, 2.0, "1.6"), (0.03, 400.0, "399.99")])
+    def test_schedule_rejects_t_final_off_the_dt_lattice(self, dt, t_final, reached):
+        # rounding t_final to the lattice would silently end the run early
+        with pytest.raises(ValueError, match=f"would end at t = {reached}$"):
+            make_schedule(dt=dt, t_final=t_final)
+
+    def test_schedule_accepts_t_final_on_the_lattice_up_to_rounding(self):
+        # 3730 * 0.01 and 37.3 differ by round-off only
+        assert make_schedule(dt=0.01, t_final=37.3).snapshot_steps[-1] == 3730
+        assert make_schedule(dt=0.03, t_final=399.99).times[-1] == pytest.approx(399.99)
+
     def test_zero_final_time_returns_initial_snapshot_only(self, grid, unit_gaussian):
         sched = make_schedule(dt=0.01, t_final=0.0)
         snaps = evolve(initial_state(grid, unit_gaussian, zero_field(grid), 0.1), sched)

@@ -29,6 +29,7 @@ from nlslab import (
     theorem_defect,
     zero_field,
 )
+from nlslab.scattering import _anchor_index
 
 TINY_CFG = RunConfig(grid_n=256, grid_length=32.0, dt=0.01, t_final=20.0)
 
@@ -135,11 +136,20 @@ class TestRunCase:
             run_case(replace(TINY_CFG, t_final=1.99), 0.1)
         assert calls == []
 
-    @pytest.mark.parametrize("dt, t_final", [(0.07, 20.0), (0.8, 2.0)])
-    def test_schedule_without_anchor_snapshot_rejected_before_evolving(self, monkeypatch, dt, t_final):
-        # dt = 0.07 puts the nearest snapshot at 2.03; dt = 0.8 with T = 2
-        # rounds the last snapshot down to 1.6, leaving none at or past 2
+    @pytest.mark.parametrize(
+        "dt, t_final, match",
+        [
+            # T = 21 is 300 steps of 0.07, but the nearest snapshot to 2 is 2.03
+            (0.07, 21.0, "no snapshot at the t = 2 anchor"),
+            # neither end time is a whole number of steps
+            (0.07, 20.0, "would end at t = 20.02"),
+            (0.8, 2.0, "would end at t = 1.6"),
+        ],
+        ids=["0.07-21.0", "0.07-20.0", "0.8-2.0"],
+    )
+    def test_schedule_without_anchor_snapshot_rejected_before_evolving(self, monkeypatch, dt, t_final, match):
         import nlslab.experiments as experiments
+
 
         calls = []
 
@@ -148,7 +158,7 @@ class TestRunCase:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "evolve", counting_evolve)
-        with pytest.raises(ValueError, match="no snapshot at the t = 2 anchor"):
+        with pytest.raises(ValueError, match=match):
             run_case(replace(TINY_CFG, dt=dt, t_final=t_final), 0.1)
         assert calls == []
 
@@ -176,8 +186,8 @@ class TestDefectHelpers:
 
     def test_lemma_defect_zero_amplitude(self):
         case = run_case(TINY_CFG, 0.0)
-        anchored = [s for s in case.states if abs(s.t - 2.0) < 1e-9][0]
-        d1, d2 = lemma_defect(modified_amplitudes(anchored), case.psi1_hat, case.psi2_hat, 0.0)
+        anchored = case.spectra[_anchor_index(case.schedule.times)]
+        d1, d2 = lemma_defect(anchored, case.psi1_hat, case.psi2_hat, 0.0)
         assert d1 == 0.0 and d2 == 0.0
 
     def test_theorem_defect_empty_band(self):

@@ -105,9 +105,9 @@ class TestClosedForm:
         r1 = _abs2(a2) * a1 / t - back(_abs2(v2) * v1)
         r2 = _abs2(a1) * a2 / t - back(_abs2(v1) * v2)
         old = 2.0 * np.real(np.conj(a1) * r1 - np.conj(a2) * r2)
-        new = rho(s).values.real
+        new = rho(s)
         assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
-        assert np.array_equal(rho(s, modified_amplitudes(s)).values, rho(s).values)
+        assert np.array_equal(rho(s, modified_amplitudes(s)), new)
 
     def test_component_swap_bitwise(self, scenario_a_state):
         s = scenario_a_state
@@ -115,7 +115,7 @@ class TestClosedForm:
         snap, snap_sw = modified_amplitudes(s), modified_amplitudes(swapped)
         assert np.array_equal(snap_sw.alpha1.values, snap.alpha2.values)
         assert np.array_equal(snap_sw.alpha2.values, snap.alpha1.values)
-        assert np.array_equal(rho(swapped).values.real, -rho(s).values.real)
+        assert np.array_equal(rho(swapped), -rho(s))
 
     def test_rho_rejects_foreign_snapshot_and_overflow(self, scenario_a_state):
         s = scenario_a_state
@@ -126,6 +126,9 @@ class TestClosedForm:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SimulationAbort, match="nonlinearity"):
                 rho(SystemState(s.t, huge, huge))
+            # finite nonlinearities, but the 1/t model term overflows
+            with pytest.raises(SimulationAbort, match="rho at t = 1e-320"):
+                rho(SystemState(1e-320, s.u1, s.u2))
 
     def test_run_case_computes_amplitudes_once_per_snapshot(self, monkeypatch):
         amplitude_calls = []
@@ -159,12 +162,12 @@ class TestRho:
     def test_zero_component_gives_zero(self, grid, unit_gaussian, zero):
         state = initial_state(grid, unit_gaussian, zero, 0.1)
         shifted = evolve(state, make_schedule(dt=0.01, t_final=2.0))[-1]
-        assert np.all(rho(shifted).values == 0)
+        assert np.all(rho(shifted) == 0)
 
     def test_symmetric_cancellation_exact(self, grid, unit_gaussian):
         state = initial_state(grid, unit_gaussian, unit_gaussian, 0.2)
         shifted = evolve(state, make_schedule(dt=0.01, t_final=2.0))[-1]
-        assert np.all(rho(shifted).values == 0)
+        assert np.all(rho(shifted) == 0)
 
     def test_requires_positive_time(self, grid, unit_gaussian, half_gaussian):
         state = initial_state(grid, unit_gaussian, half_gaussian, 0.2)
@@ -174,7 +177,8 @@ class TestRho:
     def test_samples_real(self, coupled_run):
         _, _, snaps = coupled_run
         r = rho(snaps[-1])
-        assert np.max(np.abs(r.values.imag)) == 0.0
+        assert r.dtype == np.float64 and r.shape == (snaps[-1].grid.n,)
+        assert np.all(np.isfinite(r)) and np.any(r != 0)
 
     def test_matches_time_derivative_of_endpoint_difference(self, grid, unit_gaussian, half_gaussian):
         # rho is the exact rate of |alpha1|^2 - |alpha2|^2 along the flow;
@@ -191,7 +195,7 @@ class TestRho:
             return np.abs(snap.alpha1.values) ** 2 - np.abs(snap.alpha2.values) ** 2
 
         fd = (diff(by_t[round(4.0 + h, 9)]) - diff(by_t[round(4.0 - h, 9)])) / (2 * h)
-        r = rho(by_t[4.0]).values.real
+        r = rho(by_t[4.0])
         assert np.max(np.abs(fd - r)) < 1e-3 * np.max(np.abs(r))
 
 
@@ -200,8 +204,7 @@ class TestMRoutes:
         eps = 0.1
         sched = make_schedule(dt=0.01, t_final=20.0)
         snaps = evolve(initial_state(grid, unit_gaussian, zero, eps), sched)
-        anchored = [s for s in snaps if s.t >= 2.0 - 1e-9]
-        profile = m_integral(anchored)
+        profile = m_integral(snaps)
         expected = eps**2 * np.abs(forward_ft(unit_gaussian).values) ** 2
         assert np.max(np.abs(profile.m_values - expected)) < 1e-10
         assert profile.method == "integral"
@@ -219,15 +222,13 @@ class TestMRoutes:
     def test_symmetric_data_profiles_vanish(self, grid, unit_gaussian):
         sched = make_schedule(dt=0.01, t_final=10.0)
         snaps = evolve(initial_state(grid, unit_gaussian, unit_gaussian, 0.2), sched)
-        anchored = [s for s in snaps if s.t >= 2.0 - 1e-9]
-        assert np.all(m_integral(anchored).m_values == 0)
+        assert np.all(m_integral(snaps).m_values == 0)
         assert np.all(m_endpoint(modified_amplitudes(snaps[-1])).m_values == 0)
 
     def test_cross_route_agreement(self, coupled_run):
         psi1, psi2, snaps = coupled_run
         eps = 0.1
-        anchored = [s for s in snaps if s.t >= 2.0 - 1e-9]
-        m_int = m_integral(anchored)
+        m_int = m_integral(snaps)
         m_end = m_endpoint(modified_amplitudes(snaps[-1]))
         band = (np.abs(forward_ft(psi1).values) + np.abs(forward_ft(psi2).values)) > 1e-8
         gap = np.max(np.abs(m_end.m_values - m_int.m_values)[band])
@@ -235,11 +236,25 @@ class TestMRoutes:
 
     def test_integral_route_preconditions(self, coupled_run):
         _, _, snaps = coupled_run
-        anchored = [s for s in snaps if s.t >= 2.0 - 1e-9]
-        with pytest.raises(ValueError):
-            m_integral(anchored[:2])
-        with pytest.raises(ValueError):
-            m_integral(snaps[:5])  # starts at t = 0, not at the anchor
+        with pytest.raises(ValueError, match="at least 3 snapshots"):
+            m_integral(snaps[:3])  # t = 0, the anchor and one more
+        with pytest.raises(ValueError, match="ascending"):
+            m_integral(snaps[::-1])
+        spectra = [modified_amplitudes(s) for s in snaps]
+        with pytest.raises(ValueError, match="spectra given"):
+            m_integral(snaps, spectra[1:])
+
+    def test_integral_route_starts_at_the_anchor(self, coupled_run):
+        _, _, snaps = coupled_run
+        assert snaps[0].t == 0.0 and snaps[1].t == 2.0
+        anchored = snaps[1:]
+        whole, started = m_integral(snaps), m_integral(anchored)
+        assert np.array_equal(whole.m_values, started.m_values)
+        assert np.array_equal(whole.tail_estimate, started.tail_estimate)
+        spectra = [modified_amplitudes(s) for s in snaps]
+        assert np.array_equal(m_integral(snaps, spectra).m_values, whole.m_values)
+        with pytest.raises(ValueError, match="no snapshot at the t = 2 anchor"):
+            m_integral(snaps[2:])
 
     def test_endpoint_route_needs_t_at_least_two(self, grid, unit_gaussian, zero):
         state = initial_state(grid, unit_gaussian, zero, 0.1)
@@ -350,8 +365,8 @@ class TestRhoWindow:
             snap = modified_amplitudes(state)
             return np.abs(snap.alpha1.values) ** 2 - np.abs(snap.alpha2.values) ** 2
 
-        window = [s for s in snaps if lo - 1e-9 <= s.t <= hi + 1e-9]
-        exact = diff(window[-1]) - diff(window[0])
+        by_t = {round(s.t, 9): s for s in snaps}
+        exact = diff(by_t[hi]) - diff(by_t[lo])
         assert np.max(np.abs(got - exact)) < 1e-3 * np.max(np.abs(exact))
 
     def test_window_needs_two_snapshots(self, coupled_run):
