@@ -28,6 +28,7 @@ from .spectral import (
 )
 from .dynamics import (
     TrajectoryRecorder,
+    count_steps,
     evolve,
     make_schedule,
     mass,
@@ -104,7 +105,7 @@ def _cmd_evolve(args: list[str]) -> int:
         )
     final = snapshots[-1]
     print(
-        f"evolved to t = {final.t:g} in {len(recorder.rows) - 1} steps; "
+        f"evolved to t = {final.t:g} in {count_steps(schedule)} steps; "
         f"masses {mass(final.u1):.6e} / {mass(final.u2):.6e}; tables in {out}/"
     )
     return 0

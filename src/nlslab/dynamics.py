@@ -18,7 +18,8 @@ single loop over the stacked (2, n) pair: one FFT call per direction moves
 both components, two transforms per step without an observer and three
 with one.  An observer never changes the run: it reads each step's
 boundary state from a copy, and the snapshots are bitwise the same with or
-without it.  `strang_step` is one step of the same code.
+without it.  `Schedule` computes the step plan once; `evolve` runs it,
+`count_steps` sums it, and `strang_step` is `evolve` over one step.
 
 Multiplying each equation by its conjugate and integrating gives the mass
 ledger d/dt (M1 + M2) = -4 * integral |u1|^2 |u2|^2 dx, which `evolve`
@@ -29,7 +30,9 @@ the run, naming the step and time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .spectral import (
     _abs2,
     _field_pair,
     _free_multiplier,
+    _j_norms,
     _squared_norms,
     sup_norm,
 )
@@ -91,40 +95,66 @@ class SystemState:
         return np.stack([self.u1.values, self.u2.values])
 
 
+def _check_dt(dt: float) -> None:
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive, got {dt}")
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """Step size, end time, and snapshot times on the step lattice.
+    """The time plan of a run: base step, snapshot times and step growth.
 
     Snapshot times are stored as integer multiples of dt so lattice
-    membership is exact.  Past `grow_after` the integrator may take larger
-    steps, capped at `growth_cap * t`, subdividing each inter-snapshot
-    interval uniformly; before it the base dt is used unchanged.
+    membership is exact, and the run ends at the last one, `t_final`.  Past
+    `grow_after` the integrator may take larger steps, capped at
+    `growth_cap * t`, subdividing each inter-snapshot interval uniformly;
+    before it the base dt is used unchanged.  `plan` holds the steps this
+    implies; `evolve` runs it and `count_steps` sums it.
     """
 
     dt: float
-    t_final: float
     snapshot_steps: tuple[int, ...]
     grow_after: float = 10.0
     growth_cap: float = 0.05
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not np.isfinite(self.t_final) or self.t_final < 0:
-            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
+        _check_dt(self.dt)
         ks = self.snapshot_steps
+        if not all(isinstance(k, numbers.Integral) for k in ks):
+            raise ValueError(f"snapshot steps must be integers, got {ks}")
         if len(ks) == 0 or ks[0] != 0:
             raise ValueError("snapshot steps must start at 0")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("snapshot steps must be strictly ascending")
-        if ks[-1] * self.dt > self.t_final + 0.5 * self.dt:
-            raise ValueError("snapshot times exceed t_final")
-        if self.grow_after < 0 or not (0 < self.growth_cap <= 1):
+        if not (self.grow_after >= 0 and 0 < self.growth_cap <= 1):
             raise ValueError("invalid step-growth policy")
 
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.asarray(self.snapshot_steps, dtype=np.float64)
+
+    @property
+    def t_final(self) -> float:
+        """End time of the run: the last snapshot time."""
+        return self.dt * self.snapshot_steps[-1]
+
+    @cached_property
+    def plan(self) -> tuple[tuple[float, float, int, float], ...]:
+        """(t_a, t_b, number of steps, step size) for each inter-snapshot interval."""
+        intervals = []
+        ks = self.snapshot_steps
+        for k_a, k_b in zip(ks, ks[1:]):
+            t_a = k_a * self.dt
+            t_b = k_b * self.dt
+            if t_a < self.grow_after:
+                nsteps, h = k_b - k_a, self.dt
+            else:
+                # grown steps never shrink below the base dt
+                target = max(self.growth_cap * t_a, self.dt)
+                nsteps = max(1, math.ceil((t_b - t_a) / target - 1e-12))
+                h = (t_b - t_a) / nsteps
+            intervals.append((t_a, t_b, nsteps, h))
+        return tuple(intervals)
 
 
 def make_schedule(
@@ -144,8 +174,7 @@ def make_schedule(
     """
     if not (np.isfinite(snapshot_ratio) and snapshot_ratio > 1):
         raise ValueError(f"snapshot ratio must exceed 1, got {snapshot_ratio}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if not np.isfinite(t_final) or t_final < 0:
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     reached = round(t_final / dt) * dt
@@ -163,7 +192,7 @@ def make_schedule(
     wanted.append(t_final)
     wanted.extend(float(t) for t in extra_times)
     steps = sorted({int(round(t / dt)) for t in wanted if 0.0 <= t <= t_final + 0.5 * dt})
-    return Schedule(dt, t_final, tuple(steps), grow_after, growth_cap)
+    return Schedule(dt, tuple(steps), grow_after, growth_cap)
 
 
 def _decay_factors(a, b, dt: float):
@@ -222,8 +251,7 @@ def nonlinear_substep(u1_val, u2_val, dt: float, out=None):
     inputs themselves; `evolve` steps its work buffer that way.  A
     non-finite squared modulus aborts.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     u1 = np.asarray(u1_val, dtype=np.complex128)
     u2 = np.asarray(u2_val, dtype=np.complex128)
     a = np.atleast_1d(_abs2(u1))
@@ -242,32 +270,18 @@ def nonlinear_substep(u1_val, u2_val, dt: float, out=None):
     return out[0], out[1]
 
 
-def _kick(spec: np.ndarray, work: np.ndarray, dt: float) -> None:
-    """Nonlinear substep between two stacked spectra: two transforms.
-
-    `spec` holds the unnormalized FFTs of (u1, u2) as a (2, n) array and is
-    overwritten with the FFTs after the substep; `work` is left holding the
-    space-side result.
-    """
-    np.fft.ifft(spec, out=work)
-    nonlinear_substep(work[0], work[1], dt, out=(work[0], work[1]))
-    np.fft.fft(work, out=spec)
-
-
 def strang_step(state: SystemState, dt: float) -> SystemState:
-    """One half-free / full-nonlinear / half-free composition step.
+    """One half-free / full-nonlinear / half-free composition step of size dt.
 
-    The same step code `evolve` runs, for a single step: four stacked
-    transforms, since nothing is merged with a neighbouring step.
+    The flow is autonomous, so this is `evolve` over one step from t = 0,
+    restamped at state.t + dt, with its overflow check and mass guard.  An
+    abort also names the step's absolute start and end times.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    half = _free_multiplier(state.grid, 0.5 * dt)
-    spec = np.fft.fft(state.stacked())
-    spec *= half
-    _kick(spec, np.empty_like(spec), dt)
-    spec *= half
-    return SystemState(state.t + dt, *_field_pair(state.grid, np.fft.ifft(spec), SPACE))
+    try:
+        end = evolve(SystemState(0.0, state.u1, state.u2), Schedule(dt, (0, 1)))[-1]
+    except SimulationAbort as err:
+        raise SimulationAbort(f"{err}; in strang_step from t = {state.t} to t = {state.t + dt}") from err
+    return SystemState(state.t + dt, end.u1, end.u2)
 
 
 def mass(f: ComplexField) -> float:
@@ -278,16 +292,6 @@ def mass(f: ComplexField) -> float:
 def dissipation_rate(state: SystemState) -> float:
     """Instantaneous total-mass loss rate 4 * sum |u1|^2 |u2|^2 dx."""
     return float(4.0 * np.sum(_abs2(state.u1.values) * _abs2(state.u2.values)) * state.grid.dx)
-
-
-def _j_norms(state: SystemState) -> list[float]:
-    """`j_norm` of both components, ||x U(-t) u_j||, from one stacked transform pair."""
-    g = state.grid
-    u = state.stacked()
-    if state.t != 0.0:
-        u = np.fft.ifft(np.fft.fft(u) * _free_multiplier(g, -state.t))
-    u *= g.points
-    return np.sqrt(_squared_norms(u, g.dx)).tolist()
 
 
 class TrajectoryRecorder:
@@ -313,7 +317,7 @@ class TrajectoryRecorder:
             max(sup_norm(state.u1), sup_norm(state.u2)),
         ]
         if self.with_j_norm:
-            row += _j_norms(state)
+            row += _j_norms(state.grid, state.stacked(), state.t).tolist()
         row.append(dissipation_rate(state))
         self.rows.append(tuple(row))
 
@@ -325,31 +329,17 @@ class TrajectoryRecorder:
         return self.as_array()[:, self.header.index(name)]
 
 
-def _interval_plan(t_a: float, t_b: float, k_a: int, k_b: int, sched: Schedule):
-    """Number of steps and step size for one inter-snapshot interval."""
-    if t_a < sched.grow_after:
-        return k_b - k_a, sched.dt
-    # grown steps never shrink below the base dt
-    target = max(sched.growth_cap * t_a, sched.dt)
-    nsteps = max(1, math.ceil((t_b - t_a) / target - 1e-12))
-    return nsteps, (t_b - t_a) / nsteps
-
-
 def count_steps(schedule: Schedule) -> int:
     """Total integrator steps a run under this schedule will take."""
-    ks = schedule.snapshot_steps
-    return sum(
-        _interval_plan(a * schedule.dt, b * schedule.dt, a, b, schedule)[0]
-        for a, b in zip(ks, ks[1:])
-    )
+    return sum(nsteps for _, _, nsteps, _ in schedule.plan)
 
 
 def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[SystemState]:
-    """Integrate from state0, returning snapshots at the scheduled times.
+    """Integrate from state0 along `schedule.plan`, returning the snapshots.
 
-    Runs are deterministic: identical inputs reproduce outputs bitwise.
-    There is one loop.  It holds both components as one stacked (2, n)
-    spectrum, so each transform is a single FFT call for the pair, and it
+    state0 is the first snapshot, at t = 0.  Runs are deterministic:
+    identical inputs reproduce outputs bitwise.  There is one loop.  It
+    holds both components as one stacked (2, n) spectrum, so each transform is a single FFT call for the pair, and it
     reuses its work buffers.  A step is a free half-step multiplier, the
     nonlinear substep between an inverse and a forward transform, and
     another half-step.  Inside a snapshot interval the half-steps of
@@ -366,7 +356,7 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
     initial total or any sample goes non-finite, and every abort in the
     loop names the step index and the time it ended at.
     """
-    if abs(state0.t - schedule.times[0]) > 1e-12:
+    if state0.t > TIME_TOL:
         raise ValueError("initial state time must match the first snapshot time")
     g = state0.grid
     u0 = state0.stacked()
@@ -382,11 +372,7 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
         observer(state0)
 
     step = 0
-    ks = schedule.snapshot_steps
-    for k_a, k_b in zip(ks, ks[1:]):
-        t_a = k_a * schedule.dt
-        t_b = k_b * schedule.dt
-        nsteps, h = _interval_plan(t_a, t_b, k_a, k_b, schedule)
+    for t_a, t_b, nsteps, h in schedule.plan:
         half = _free_multiplier(g, 0.5 * h)
         full = half * half
         spec *= half
@@ -395,7 +381,11 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
             last = s == nsteps - 1
             t = t_b if last else t_a + (s + 1) * h
             try:
-                _kick(spec, work, h)
+                # nonlinear substep between the stacked spectra, leaving the
+                # space-side result in `work`
+                np.fft.ifft(spec, out=work)
+                nonlinear_substep(work[0], work[1], h, out=(work[0], work[1]))
+                np.fft.fft(work, out=spec)
                 # the substep output differs from the step-boundary state by
                 # a unitary half-step, so their masses agree to round-off
                 new1, new2 = _squared_norms(work, g.dx).tolist()

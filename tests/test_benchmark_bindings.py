@@ -18,6 +18,7 @@ import pytest
 
 import nlslab
 import nlslab.cli
+import nlslab.dynamics
 import nlslab.experiments
 import nlslab.tables
 from nlslab.config import SCENARIO_B
@@ -59,6 +60,25 @@ def test_traced_functions_and_methods_resolve():
 def test_cli_binds_the_package_functions_the_runner_patches():
     assert nlslab.cli.run_case is nlslab.experiments.run_case
     assert nlslab.cli.write_table is nlslab.tables.write_table
+
+
+def test_count_steps_counts_the_substeps_evolve_takes(monkeypatch):
+    # the benchmark's us_per_step divides evolve's wall time by count_steps
+    schedule = nlslab.make_schedule(dt=0.01, t_final=20.0)
+    grid = nlslab.make_grid(64, 32.0)
+    psi1 = nlslab.gaussian_profile(grid, 1.0, 1.0)
+    psi2 = nlslab.gaussian_profile(grid, 0.5, 1.0)
+    calls = []
+    substep = nlslab.dynamics.nonlinear_substep
+
+    def counting_substep(*args, **kwargs):
+        calls.append(1)
+        return substep(*args, **kwargs)
+
+    monkeypatch.setattr(nlslab.dynamics, "nonlinear_substep", counting_substep)
+    nlslab.evolve(nlslab.initial_state(grid, psi1, psi2, 0.2), schedule)
+    assert len(calls) == nlslab.count_steps(schedule)
+    assert 1000 < len(calls) < 2000  # base steps to t = 10, grown steps after
 
 
 def test_runner_checks_pass_on_a_small_case(runner):

@@ -28,6 +28,7 @@ from nlslab import (
 )
 from nlslab import dynamics
 from nlslab.dynamics import _decay_factors
+from nlslab.spectral import _free_multiplier
 
 
 class TestNonlinearSubstep:
@@ -159,7 +160,45 @@ class TestDecayKernelOverFloatRange:
         assert nonlinear_substep(0j, u, dt) == (0j, u)
 
 
+def _reference_strang_step(state, dt):
+    """Half-free / nonlinear / half-free on the stacked pair, written out step by step."""
+    half = _free_multiplier(state.grid, 0.5 * dt)
+    spec = np.fft.fft(state.stacked())
+    spec *= half
+    work = np.empty_like(spec)
+    np.fft.ifft(spec, out=work)
+    nonlinear_substep(work[0], work[1], dt, out=(work[0], work[1]))
+    np.fft.fft(work, out=spec)
+    spec *= half
+    return state.t + dt, np.fft.ifft(spec)
+
+
 class TestStrangStep:
+    @pytest.mark.parametrize("n, length", [(64, 32.0), (256, 64.0), (4096, 256.0)])
+    @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.05, 0.3, 2.0])
+    def test_bitwise_equal_to_written_out_composition(self, n, length, dt):
+        g = make_grid(n, length)
+        psi1 = gaussian_profile(g, 1.0, 1.0, 0.0, 2.0)
+        psi2 = gaussian_profile(g, 0.5, 1.5, 1.0, -1.0)
+        start = initial_state(g, psi1, psi2, 0.3)
+        for state in (start, SystemState(1.37, start.u1, start.u2)):
+            t_ref, u_ref = _reference_strang_step(state, dt)
+            out = strang_step(state, dt)
+            assert out.t == t_ref
+            assert np.array_equal(out.stacked(), u_ref)
+
+    def test_abort_names_step_and_start_time(self, grid, unit_gaussian, half_gaussian, monkeypatch):
+        def nan_substep(u1, u2, dt, out=None):
+            r1, r2 = nonlinear_substep(u1, u2, dt, out)
+            r1[:] = np.nan
+            return r1, r2
+
+        monkeypatch.setattr(dynamics, "nonlinear_substep", nan_substep)
+        start = initial_state(grid, unit_gaussian, half_gaussian, 0.1)
+        state = SystemState(1.25, start.u1, start.u2)
+        with pytest.raises(SimulationAbort, match=r"at step 1, t = 0\.5; in strang_step from t = 1\.25 to t = 1\.75$"):
+            strang_step(state, 0.5)
+
     def test_decoupled_equals_free_evolution(self, grid, unit_gaussian):
         state = initial_state(grid, unit_gaussian, zero_field(grid), 0.1)
         m0 = mass(state.u1)
@@ -223,9 +262,37 @@ class TestScheduleAndEvolve:
         with pytest.raises(ValueError):
             make_schedule(dt=0.01, t_final=-1.0)
         with pytest.raises(ValueError):
-            Schedule(0.01, 10.0, (5, 3))
+            Schedule(0.01, (5, 3))
         with pytest.raises(ValueError):
-            Schedule(0.01, 10.0, (0, 2000))
+            Schedule(0.01, (1, 2000))
+
+    def test_schedule_rejects_non_integer_steps(self):
+        with pytest.raises(ValueError, match="integers"):
+            Schedule(0.01, (0, 50.5, 100))
+
+    def test_schedule_rejects_nan_growth_start(self):
+        # nan would compare as "past grow_after" everywhere and grow from t = 0
+        with pytest.raises(ValueError, match="step-growth policy"):
+            make_schedule(dt=0.01, t_final=20.0, grow_after=np.nan)
+
+    @pytest.mark.parametrize(
+        "plan, t_end",
+        [
+            (lambda: make_schedule(dt=0.01, t_final=20.0), 20.0),
+            (lambda: make_schedule(dt=0.01, t_final=37.3, snapshot_ratio=1.5), 37.3),
+            (lambda: make_schedule(dt=0.02, t_final=0.0), 0.0),
+            (lambda: Schedule(0.8, (0, 2)), 1.6),
+        ],
+        ids=["default", "rounded-end", "empty", "hand-built"],
+    )
+    def test_last_snapshot_is_at_t_final(self, plan, t_end):
+        # t_final is derived from the last snapshot, so no plan can stop short of it
+        sched = plan()
+        g = make_grid(64, 32.0)
+        psi = gaussian_profile(g, 1.0, 1.0)
+        snaps = evolve(initial_state(g, psi, psi, 0.1), sched)
+        assert [s.t for s in snaps] == sched.times.tolist()
+        assert snaps[-1].t == sched.t_final == pytest.approx(t_end, rel=1e-15)
 
     @pytest.mark.parametrize("dt, t_final, reached", [(0.8, 2.0, "1.6"), (0.03, 400.0, "399.99")])
     def test_schedule_rejects_t_final_off_the_dt_lattice(self, dt, t_final, reached):
