@@ -14,7 +14,8 @@ Recognized keys (defaults in parentheses):
     time.dt             (0.01)    base step
     time.t_final        (400)     end time
     time.snapshot_ratio (2^0.25)  geometric snapshot spacing, > 1
-    time.grow_after     (10)      time after which steps may grow; inf = never
+    time.grow_after     (2)       time after which steps may grow (the t = 2
+                                  anchor); inf = never
     time.growth_cap     (0.05)    step ceiling as a fraction of t
     data.psi1           (gaussian(1, 1, 0, 0))    profile: gaussian(A, w, c, k) | zero,
                                                   A, c, k finite and w positive
@@ -31,6 +32,7 @@ import re
 
 import numpy as np
 
+from .dynamics import DEFAULT_DT, DEFAULT_GROW_AFTER, DEFAULT_GROWTH_CAP
 from .spectral import _is_power_of_two
 from .tables import _fmt
 
@@ -93,11 +95,11 @@ ZERO_PROFILE = ProfileSpec(kind="zero", amplitude=0.0)
 class RunConfig:
     grid_n: int = 4096
     grid_length: float = 256.0
-    dt: float = 0.01
+    dt: float = DEFAULT_DT
     t_final: float = 400.0
     snapshot_ratio: float = 2.0**0.25
-    grow_after: float = 10.0
-    growth_cap: float = 0.05
+    grow_after: float = DEFAULT_GROW_AFTER
+    growth_cap: float = DEFAULT_GROWTH_CAP
     psi1: ProfileSpec = field(default_factory=ProfileSpec)
     psi2: ProfileSpec = field(default_factory=lambda: ProfileSpec(amplitude=0.5))
     epsilons: tuple[float, ...] | None = None

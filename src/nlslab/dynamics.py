@@ -69,6 +69,13 @@ _TINY = np.finfo(np.float64).tiny
 T_ANCHOR = 2.0
 TIME_TOL = 1e-9
 
+# The default time plan.  Solutions decay like 1/sqrt(t), so the coupling
+# weakens like 1/t and the step may grow in proportion to t; growth starts
+# at the anchor, and the interval [0, T_ANCHOR] runs at the base step.
+DEFAULT_DT = 0.01
+DEFAULT_GROW_AFTER = T_ANCHOR
+DEFAULT_GROWTH_CAP = 0.05
+
 
 @dataclass(frozen=True)
 class SystemState:
@@ -114,8 +121,8 @@ class Schedule:
 
     dt: float
     snapshot_steps: tuple[int, ...]
-    grow_after: float = 10.0
-    growth_cap: float = 0.05
+    grow_after: float = DEFAULT_GROW_AFTER
+    growth_cap: float = DEFAULT_GROWTH_CAP
 
     def __post_init__(self) -> None:
         _check_dt(self.dt)
@@ -158,11 +165,11 @@ class Schedule:
 
 
 def make_schedule(
-    dt: float = 0.01,
+    dt: float = DEFAULT_DT,
     t_final: float = 400.0,
     snapshot_ratio: float = 2.0**0.25,
-    grow_after: float = 10.0,
-    growth_cap: float = 0.05,
+    grow_after: float = DEFAULT_GROW_AFTER,
+    growth_cap: float = DEFAULT_GROWTH_CAP,
     extra_times: tuple[float, ...] = (),
 ) -> Schedule:
     """Default snapshot plan: {0, 2} plus a geometric ladder from 2 to t_final.

@@ -21,7 +21,8 @@ import nlslab.cli
 import nlslab.dynamics
 import nlslab.experiments
 import nlslab.tables
-from nlslab.config import SCENARIO_B
+from nlslab.config import SCENARIO_B, parse_config
+from nlslab.experiments import _run_inputs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,7 +30,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def _load(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # registered while it runs: dataclasses look their module up by name
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
     return module
 
 
@@ -78,7 +84,18 @@ def test_count_steps_counts_the_substeps_evolve_takes(monkeypatch):
     monkeypatch.setattr(nlslab.dynamics, "nonlinear_substep", counting_substep)
     nlslab.evolve(nlslab.initial_state(grid, psi1, psi2, 0.2), schedule)
     assert len(calls) == nlslab.count_steps(schedule)
-    assert 1000 < len(calls) < 2000  # base steps to t = 10, grown steps after
+    assert len(calls) == 254  # 200 base steps to t = 2, grown steps after
+
+
+def test_workload_step_counts_are_pinned():
+    # the benchmark's runs take these many steps under the default plan; a
+    # change to the plan changes every workload's wall time and must say so
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    steps = {}
+    for name, w in workloads.WORKLOADS.items():
+        cfg = parse_config(workloads.config_text(w, 0, "out"))
+        steps[name] = nlslab.count_steps(_run_inputs(cfg, w.epsilon)[1])
+    assert steps == {"case-bigbox": 323, "cli-evolve": 323, "profile-dense": 363}
 
 
 def test_runner_checks_pass_on_a_small_case(runner):

@@ -151,7 +151,7 @@ class TestSerializeConfig:
             "time.dt = 0.01\n"
             "time.t_final = 400\n"
             "time.snapshot_ratio = 1.189207115002721\n"
-            "time.grow_after = 10\n"
+            "time.grow_after = 2\n"
             "time.growth_cap = 0.050000000000000003\n"
             "data.psi1 = gaussian(1, 1, 0, 2)\n"
             "data.psi2 = gaussian(1, 1, 0, -2)\n"

@@ -7,6 +7,7 @@ from nlslab import (
     RunConfig,
     ProfileSpec,
     SCENARIO_A,
+    SCENARIO_B,
     TrajectoryRecorder,
     apriori_diagnostics,
     build_profile,
@@ -18,6 +19,7 @@ from nlslab import (
     initial_state,
     l2_norm,
     lemma_defect,
+    m_endpoint,
     make_grid,
     make_schedule,
     mass,
@@ -83,8 +85,10 @@ class TestRunCase:
         assert case.record.lemma_defect1 < 1e-10
 
     def test_golden_regression_default_pair(self):
-        # frozen from a validated run of this configuration
-        case = run_case(TINY_CFG, 0.1)
+        # frozen from a validated run of this configuration with step growth
+        # from t = 10; the plan is pinned so the values check the integrator
+        # alone, whatever the default plan
+        case = run_case(replace(TINY_CFG, grow_after=10.0), 0.1)
         r = case.record
         assert r.lemma_defect1 == pytest.approx(0.00023259149119581981, rel=1e-10)
         assert r.lemma_defect2 == pytest.approx(0.0004672774716075486, rel=1e-10)
@@ -312,3 +316,48 @@ class TestTailBound:
         consts = tail_bound_constants(snaps, band, 0.1, windows=((5.0, 10.0), (10.0, 20.0), (20.0, 40.0)))
         assert consts.shape == (3,)
         assert np.all(np.isfinite(consts)) and np.all(consts > 0)
+
+
+def _default_plan_error(scenario, eps, t_final, ref_dt):
+    """Error of the default plan's final m_endpoint, as a fraction of the floor.
+
+    The default plan grows its steps from the t = 2 anchor.  The reference
+    runs the same data at a fixed step ref_dt; the error is the band max of
+    the difference, divided by the classification floor 1e-6 eps^2.
+    """
+    grid = make_grid(1024, 256.0)
+    psi1 = build_profile(grid, scenario.psi1)
+    psi2 = build_profile(grid, scenario.psi2)
+    state0 = initial_state(grid, psi1, psi2, eps)
+    band = resolved_band(forward_ft(psi1), forward_ft(psi2))
+
+    def final_m(schedule):
+        return m_endpoint(modified_amplitudes(evolve(state0, schedule)[-1])).m_values
+
+    fixed = make_schedule(dt=ref_dt, t_final=t_final, grow_after=np.inf)
+    gap = np.abs(final_m(make_schedule(t_final=t_final)) - final_m(fixed))
+    return np.max(gap[band]) / (1e-6 * eps**2)
+
+
+# Share of the classification floor the default plan's stepping error may
+# use.  Both m routes share the trajectory, so c_quad cannot see this error
+# and the threshold does not cover it.
+PLAN_ERROR_BUDGET = 0.25
+
+
+class TestDefaultPlanConvergence:
+    @pytest.mark.parametrize("scenario", [SCENARIO_A, SCENARIO_B], ids=["A", "B"])
+    def test_grown_steps_stay_within_budget(self, scenario):
+        # measured: 0.12 of the floor on A and 0.08 on B
+        assert _default_plan_error(scenario, 0.2, 20.0, 0.0025) < PLAN_ERROR_BUDGET
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="late-time stepping error on carrier data: 3.4 floors at T = 50, "
+        "likely from t ~ 31 on, where the step 0.05 t reaches pi / (xi^2 / 2) "
+        "for the +-2 carriers",
+    )
+    def test_late_time_error_on_carrier_data(self):
+        # a dt = 0.005 reference agrees with dt = 0.0025 to 1e-12 here
+        assert _default_plan_error(SCENARIO_A, 0.1, 50.0, 0.005) < PLAN_ERROR_BUDGET
