@@ -20,6 +20,7 @@ remainder under the quadrature floor.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,13 +58,16 @@ from .scattering import (
     MProfile,
     SpectralSnapshot,
     TAG_NAMES,
+    _RhoFold,
     _anchor_index,
+    _integral_profile,
+    _integral_start,
+    _window_integrals,
     classify,
-    integrate_rho_window,
     m_endpoint,
-    m_integral,
     modified_amplitudes,
     orthogonality_defect,
+    rho,
 )
 
 __all__ = [
@@ -157,17 +161,28 @@ class OrderFit:
 
 @dataclass(frozen=True)
 class CaseResult:
+    """One case: its inputs, the evolved snapshots and the analysis folded from them.
+
+    `states` holds every system snapshot.  Their modified amplitudes are not
+    kept: `run_case` folds each into the outputs below and drops it, keeping
+    only the amplitudes at the anchor and at T and, per snapshot, the
+    alpha2 norm and the orthogonality defect.
+    """
+
     config: RunConfig
     epsilon: float
     grid: Grid
     schedule: Schedule
     states: list[SystemState]
-    spectra: list[SpectralSnapshot]
+    anchor_amplitudes: SpectralSnapshot
+    final_amplitudes: SpectralSnapshot
+    alpha2_norm_seq: np.ndarray
+    orth_defect_seq: np.ndarray
     psi1_hat: ComplexField
     psi2_hat: ComplexField
     band: np.ndarray
     m_end: MProfile
-    m_int: MProfile | None
+    m_int: MProfile
     record: SweepRecord
 
     @property
@@ -218,25 +233,43 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     disagreement max_band |m_endpoint - m_integral|, so it dominates the
     quadrature error actually incurred; a tiny positive floor keeps the
     threshold usable in the all-zero eps = 0 case.  A schedule without a
-    snapshot at the t = 2 anchor is rejected before anything is evolved.
+    snapshot at the t = 2 anchor, or with fewer than 3 from it on, is
+    rejected before anything is evolved.
+
+    The analysis is one pass over the snapshots: each one's modified
+    amplitudes are computed once, and from the anchor on its rho once; both
+    are folded into the outputs and dropped, so the analysis holds O(n)
+    memory whatever the snapshot count.  A band-max tail estimate above
+    the threshold means the tags may still change beyond T; it raises a
+    RuntimeWarning naming T and both values.
     """
     eps = cfg.epsilon_single() if epsilon is None else float(epsilon)
     if cfg.t_final < T_ANCHOR:
         raise ValueError("scattering analysis needs t_final >= 2 (the anchor time)")
     t_start = time.perf_counter()
     grid, schedule, psi1, psi2, state0 = _run_inputs(cfg, eps)
-    anchor = _anchor_index(schedule.times)
+    anchor = _integral_start(schedule.times)
     psi1_hat = forward_ft(psi1)
     psi2_hat = forward_ft(psi2)
     band = resolved_band(psi1_hat, psi2_hat)
 
     states = evolve(state0, schedule)
-    spectra = [modified_amplitudes(s) for s in states]
+    fold = _RhoFold()
+    alpha2_norms = np.empty(len(states))
+    orth_defects = np.empty(len(states))
+    for i, s in enumerate(states):
+        snap = modified_amplitudes(s)
+        alpha2_norms[i] = l2_norm(snap.alpha2)
+        orth_defects[i] = orthogonality_defect(snap)
+        if i == anchor:
+            anchor_snap = snap
+        if i >= anchor:
+            fold.add(s.t, rho(s, snap))
 
-    m_int = m_integral(states, spectra)
-    m_end = m_endpoint(spectra[-1])
+    m_int = _integral_profile(anchor_snap, fold)
+    m_end = m_endpoint(snap)
 
-    d1, d2 = lemma_defect(spectra[anchor], psi1_hat, psi2_hat, eps)
+    d1, d2 = lemma_defect(anchor_snap, psi1_hat, psi2_hat, eps)
     t_defect = theorem_defect(m_end, psi1_hat, psi2_hat, eps, band)
     if np.any(band):
         c_quad = float(np.max(np.abs(m_end.m_values - m_int.m_values)[band]))
@@ -245,6 +278,13 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
         c_quad = 0.0
         tail = 0.0
     threshold = max(10.0 * c_quad, 1e-6 * eps**2, float(np.finfo(np.float64).tiny))
+    if tail > threshold:
+        warnings.warn(
+            f"tail estimate {tail:.3g} beyond T = {schedule.t_final:g} exceeds the "
+            f"classification threshold {threshold:.3g}; tags may still change at a later end time",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     record = SweepRecord(
         epsilon=eps,
@@ -260,7 +300,8 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
         wall_time=time.perf_counter() - t_start,
     )
     return CaseResult(
-        cfg, eps, grid, schedule, states, spectra, psi1_hat, psi2_hat, band, m_end, m_int, record
+        cfg, eps, grid, schedule, states, anchor_snap, snap, alpha2_norms, orth_defects,
+        psi1_hat, psi2_hat, band, m_end, m_int, record,
     )
 
 
@@ -351,7 +392,7 @@ def _scenario_report(name: str, case: CaseResult) -> ScenarioReport:
     dxi = case.grid.dxi
     eps = case.epsilon
 
-    final = case.spectra[-1]
+    final = case.final_amplitudes
     denom1 = eps * _band_restricted_norm(case.psi1_hat.values, dom1, dxi)
     denom2 = eps * _band_restricted_norm(case.psi2_hat.values, dom2, dxi)
     ratio1 = _band_restricted_norm(final.alpha1.values, dom1, dxi) / denom1 if denom1 > 0 else 0.0
@@ -375,8 +416,8 @@ def _scenario_report(name: str, case: CaseResult) -> ScenarioReport:
         snapshot_times=times,
         mass1_seq=np.array([mass(s.u1) for s in case.states]),
         mass2_seq=np.array([mass(s.u2) for s in case.states]),
-        alpha2_norm_seq=np.array([l2_norm(sp.alpha2) for sp in case.spectra]),
-        orth_defect_seq=np.array([orthogonality_defect(sp) for sp in case.spectra]),
+        alpha2_norm_seq=case.alpha2_norm_seq,
+        orth_defect_seq=case.orth_defect_seq,
         m_min_strong_band=m_min_strong,
         case=case,
     )
@@ -449,11 +490,12 @@ def tail_bound_constants(
     epsilon: float,
     windows: tuple[tuple[float, float], ...] = ((50.0, 100.0), (100.0, 200.0), (200.0, 400.0)),
 ) -> np.ndarray:
-    """Smallest constant C making |int_T^2T rho| <= C eps^4 <xi>^-2 per window."""
+    """Smallest constant C making |int_T^2T rho| <= C eps^4 <xi>^-2 per window.
+
+    All windows come from one pass over the snapshots, so rho at an
+    endpoint two windows share is computed once.
+    """
     grid = states[0].grid
     weight = 1.0 + grid.frequencies**2
-    out = np.empty(len(windows))
-    for i, (lo, hi) in enumerate(windows):
-        integral = integrate_rho_window(states, lo, hi)
-        out[i] = np.max(np.abs(integral[band]) * weight[band]) / epsilon**4
-    return out
+    integrals = _window_integrals(states, windows)
+    return np.array([np.max(np.abs(integral[band]) * weight[band]) / epsilon**4 for integral in integrals])

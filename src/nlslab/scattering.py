@@ -13,8 +13,7 @@ centering phase and scale it shares with `forward_ft`
 (`spectral._back_propagated_ft`): no inverse transform and no propagated
 space-side field.  Both components share one stacked (2, n) FFT
 call, so a snapshot's amplitudes cost one transform call; the integrand rho
-adds one more, for the stacked pair of nonlinearities.  `run_case` computes
-each snapshot's amplitudes once and hands them to both m routes.
+adds one more, for the stacked pair of nonlinearities.
 
 The central object is the per-frequency sign profile
 
@@ -34,11 +33,23 @@ independent routes compute it:
 
 Their disagreement is pure quadrature error and is used as the realized
 error scale when thresholding the sign classification.
+
+The anchored route is a running time integral, so it is computed in one
+pass: each snapshot's rho row is folded into running reductions and
+dropped (`_RhoFold`): the trapezoid, the per-snapshot max |rho| and the
+last row for the tail fit.  `m_integral`, `integrate_rho_window` and
+`tail_bound_constants` use that fold, and so does `run_case`.  It computes
+each snapshot's amplitudes once, and from the anchor on its rho once.  It
+keeps the amplitudes at the anchor and at T, for the lemma defect and the
+endpoint route, and drops the rest.  So the analysis holds O(n) memory
+whatever the snapshot count, and the fold reproduces the stacked
+np.trapezoid bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -201,12 +212,39 @@ def _fit_tail_exponent(times: np.ndarray, amplitudes: np.ndarray) -> float:
     return max(-slope, 1.05)
 
 
-def _rho_rows(states: list[SystemState], spectra: list[SpectralSnapshot | None]) -> np.ndarray:
-    """rho of each state, one row per state, reusing each given snapshot."""
-    rows = np.empty((len(states), states[0].grid.n), dtype=np.float64)
-    for i, (s, sp) in enumerate(zip(states, spectra)):
-        rows[i] = rho(s, sp)
-    return rows
+class _RhoFold:
+    """Running reductions of rho rows fed in snapshot order.
+
+    `add` folds one row into the trapezoid `integral`, its max |rho| into
+    `peaks` and itself into `last`; the caller then drops the row, so the
+    memory held does not grow with the snapshot count.  The trapezoid adds
+    the terms (t_i - t_{i-1}) * (rho_i + rho_{i-1}) / 2.0 in order onto
+    zeros, as numpy's axis-0 sum does, which reproduces
+    np.trapezoid(rows, times, axis=0) bitwise, signed zeros included.
+    """
+
+    def __init__(self) -> None:
+        self.times: list[float] = []
+        self.peaks: list[float] = []
+        self.last: np.ndarray | None = None
+        self.integral: np.ndarray | None = None
+
+    def add(self, t: float, row: np.ndarray) -> None:
+        if self.last is None:
+            self.integral = np.zeros_like(row)
+        else:
+            self.integral += (t - self.times[-1]) * (row + self.last) / 2.0
+        self.times.append(t)
+        self.peaks.append(float(np.max(np.abs(row))))
+        self.last = row
+
+    def tail_estimate(self) -> np.ndarray:
+        """Per-frequency tail beyond the last time, from |rho| ~ t^-p fitted on its last decade."""
+        times = np.array(self.times)
+        t_final = times[-1]
+        decade = times >= t_final / 10.0
+        p = _fit_tail_exponent(times[decade], np.array(self.peaks)[decade])
+        return np.abs(self.last) * t_final / (p - 1.0)
 
 
 def _anchor_index(times) -> int:
@@ -218,35 +256,47 @@ def _anchor_index(times) -> int:
     return int(np.argmin(gap))
 
 
+def _integral_start(times) -> int:
+    """The anchor index, where the anchored route starts; it needs 3 snapshots from there on."""
+    first = _anchor_index(times)
+    if len(times) - first < 3:
+        raise ValueError("integral route needs at least 3 snapshots from the anchor on")
+    return first
+
+
+def _integral_profile(anchor: SpectralSnapshot, fold: _RhoFold) -> MProfile:
+    """The anchored route's profile: the anchor's endpoint difference plus the fold's trapezoid."""
+    m_vals = _endpoint_difference(anchor) + fold.integral
+    return MProfile(anchor.grid, m_vals, "integral", fold.times[-1], fold.tail_estimate())
+
+
 def m_integral(states: list[SystemState], spectra: list[SpectralSnapshot] | None = None) -> MProfile:
     """Anchored route: time-2 endpoint difference plus a trapezoid of rho.
 
     Expects system snapshots in ascending time, one of them at the anchor
     t = 2 and the last at the truncation time T; earlier snapshots are
     skipped.  `spectra`, their modified amplitudes in the same order, are
-    reused when given.  The neglected tail beyond T is estimated per
-    frequency by extrapolating |rho| ~ t^-p, with p fitted on the last
-    decade of snapshot times, and attached to the returned profile.
+    reused when given.  One pass from the anchor on computes each
+    snapshot's amplitudes (unless given) and rho once and folds them into
+    running reductions (`_RhoFold`), the same fold `run_case` uses, so no
+    (k, n) stack of rows is held.  The neglected tail beyond T is estimated
+    per frequency by extrapolating |rho| ~ t^-p, with p fitted to the
+    per-snapshot max |rho| on the last decade of snapshot times, and
+    attached to the returned profile.
     """
     if spectra is not None and len(spectra) != len(states):
         raise ValueError(f"{len(spectra)} spectra given for {len(states)} snapshots")
     times = np.array([s.t for s in states], dtype=np.float64)
     if np.any(np.diff(times) <= 0):
         raise ValueError("snapshot times must be strictly ascending")
-    first = _anchor_index(times)
-    if len(states) - first < 3:
-        raise ValueError("integral route needs at least 3 snapshots from the anchor on")
-    states, times = states[first:], times[first:]
-    spectra = [modified_amplitudes(s) for s in states] if spectra is None else spectra[first:]
-
-    rho_vals = _rho_rows(states, spectra)
-    m_vals = _endpoint_difference(spectra[0]) + np.trapezoid(rho_vals, times, axis=0)
-
-    t_final = times[-1]
-    decade = times >= t_final / 10.0
-    p = _fit_tail_exponent(times[decade], np.max(np.abs(rho_vals[decade]), axis=1))
-    tail = np.abs(rho_vals[-1]) * t_final / (p - 1.0)
-    return MProfile(states[0].grid, m_vals, "integral", t_final, tail)
+    first = _integral_start(times)
+    fold = _RhoFold()
+    for i in range(first, len(states)):
+        snap = modified_amplitudes(states[i]) if spectra is None else spectra[i]
+        if i == first:
+            anchor = snap
+        fold.add(states[i].t, rho(states[i], snap))
+    return _integral_profile(anchor, fold)
 
 
 def m_endpoint(final_snapshot: SpectralSnapshot) -> MProfile:
@@ -256,13 +306,29 @@ def m_endpoint(final_snapshot: SpectralSnapshot) -> MProfile:
     return MProfile(final_snapshot.grid, _endpoint_difference(final_snapshot), "endpoint", final_snapshot.t)
 
 
+def _window_integrals(states: list[SystemState], windows) -> list[np.ndarray]:
+    """Trapezoid of rho over the snapshots with t in each [t_lo, t_hi] window.
+
+    One pass: rho is computed once per snapshot that lies in any window and
+    folded into every window holding it, so windows sharing an endpoint
+    share its row.
+    """
+    inside = [[lo - TIME_TOL <= s.t <= hi + TIME_TOL for lo, hi in windows] for s in states]
+    for j, (lo, hi) in enumerate(windows):
+        if sum(member[j] for member in inside) < 2:
+            raise ValueError(f"need at least 2 snapshots in [{lo}, {hi}]")
+    folds = [_RhoFold() for _ in windows]
+    for s, member in zip(states, inside):
+        if any(member):
+            row = rho(s)
+            for fold in compress(folds, member):
+                fold.add(s.t, row)
+    return [fold.integral for fold in folds]
+
+
 def integrate_rho_window(states: list[SystemState], t_lo: float, t_hi: float) -> np.ndarray:
     """Trapezoid of rho over the snapshots with t in [t_lo, t_hi], per frequency."""
-    window = [s for s in states if t_lo - TIME_TOL <= s.t <= t_hi + TIME_TOL]
-    if len(window) < 2:
-        raise ValueError(f"need at least 2 snapshots in [{t_lo}, {t_hi}]")
-    times = np.array([s.t for s in window])
-    return np.trapezoid(_rho_rows(window, [None] * len(window)), times, axis=0)
+    return _window_integrals(states, ((t_lo, t_hi),))[0]
 
 
 def orthogonality_defect(snapshot: SpectralSnapshot) -> float:

@@ -7,9 +7,13 @@ attributes of the `CaseResult` it gets back.  A refactor that renames or
 moves one of them would break the benchmark without failing any other test.
 """
 
+import functools
 import importlib
 import importlib.util
+import io
+import re
 import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,8 +57,12 @@ def runner():
             sys.modules.pop("workloads", None)
 
 
-def test_traced_functions_and_methods_resolve():
-    tracing = _load("perfbench_tracing", PERFBENCH / "tracing.py")
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("perfbench_tracing", PERFBENCH / "tracing.py")
+
+
+def test_traced_functions_and_methods_resolve(tracing):
     assert tracing.FUNCTIONS and tracing.METHODS
     for span, module, attr in tracing.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), attr, None)), span
@@ -108,3 +116,34 @@ def test_runner_checks_pass_on_a_small_case(runner):
     assert case.record.threshold > 0
     assert runner.check_bigbox(case) == []
     assert str(PERFBENCH) not in sys.path
+
+
+@pytest.mark.parametrize("entry", ["run_case", "mprofile", "evolve"])
+def test_evolve_is_reached_through_a_name_the_tracer_rebinds(tracing, entry, tmp_path):
+    # the tracer counts steps and snapshots in a hook on dynamics.evolve that
+    # takes len() of its result, so evolve must be called by a rebound name
+    # and return a sized sequence
+    path = tmp_path / "run.cfg"
+    path.write_text(f"grid.n = 64\ngrid.length = 32\ntime.t_final = 20\noutputs.directory = {tmp_path}\n")
+    cfg = parse_config(path.read_text())
+    schedule = _run_inputs(cfg, cfg.epsilon_single())[1]
+    tracer = tracing.Tracer()
+    with tracer, redirect_stdout(io.StringIO()):
+        if entry == "run_case":
+            nlslab.run_case(cfg)
+        else:
+            assert nlslab.cli.main([entry, str(path)]) == 0
+    assert [span[1] for span in tracer.spans].count("dynamics.evolve") == 1
+    assert tracer.counters["dynamics.snapshots"] == len(schedule.snapshot_steps)
+    assert tracer.counters["dynamics.steps"] == nlslab.count_steps(schedule)
+    assert nlslab.evolve is nlslab.dynamics.evolve  # the tracer restored it
+
+
+def test_case_result_has_every_attribute_the_runner_reads():
+    source = (PERFBENCH / "runner.py").read_text(encoding="utf-8")
+    chains = set(re.findall(r"\bcase(?:_result\(outcome\))?((?:\.\w+)+)", source))
+    # the pattern still sees the runner's reads
+    assert {".states", ".record.c_quad", ".m_end.m_values", ".psi1_hat.values"} <= chains
+    case = nlslab.run_case(replace(SCENARIO_B, grid_n=256, grid_length=64.0, t_final=20.0))
+    for chain in chains:
+        functools.reduce(getattr, chain.split(".")[1:], case)  # raises AttributeError if gone

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -23,7 +26,9 @@ from nlslab import (
     make_grid,
     make_schedule,
     mass,
+    m_integral,
     modified_amplitudes,
+    orthogonality_defect,
     resolved_band,
     run_case,
     run_sweep,
@@ -31,6 +36,7 @@ from nlslab import (
     theorem_defect,
     zero_field,
 )
+from nlslab.experiments import _run_inputs
 from nlslab.scattering import _anchor_index
 
 TINY_CFG = RunConfig(grid_n=256, grid_length=32.0, dt=0.01, t_final=20.0)
@@ -148,8 +154,10 @@ class TestRunCase:
             # neither end time is a whole number of steps
             (0.07, 20.0, "would end at t = 20.02"),
             (0.8, 2.0, "would end at t = 1.6"),
+            # the anchor is the last snapshot: the integral route needs 3
+            (0.01, 2.0, "at least 3 snapshots from the anchor on"),
         ],
-        ids=["0.07-21.0", "0.07-20.0", "0.8-2.0"],
+        ids=["0.07-21.0", "0.07-20.0", "0.8-2.0", "0.01-2.0"],
     )
     def test_schedule_without_anchor_snapshot_rejected_before_evolving(self, monkeypatch, dt, t_final, match):
         import nlslab.experiments as experiments
@@ -165,6 +173,54 @@ class TestRunCase:
         with pytest.raises(ValueError, match=match):
             run_case(replace(TINY_CFG, dt=dt, t_final=t_final), 0.1)
         assert calls == []
+
+    def test_folded_outputs_match_the_snapshots(self):
+        # run_case keeps no per-snapshot amplitudes; what it keeps of them is
+        # bitwise what the snapshots it returns give when analysed afresh
+        case = run_case(TINY_CFG, 0.1)
+        spectra = [modified_amplitudes(s) for s in case.states]
+        anchor = spectra[_anchor_index(case.schedule.times)]
+        for kept, fresh in ((case.anchor_amplitudes, anchor), (case.final_amplitudes, spectra[-1])):
+            assert kept.t == fresh.t
+            assert np.array_equal(kept.alpha1.values, fresh.alpha1.values)
+            assert np.array_equal(kept.alpha2.values, fresh.alpha2.values)
+        assert np.array_equal(case.alpha2_norm_seq, [l2_norm(sp.alpha2) for sp in spectra])
+        assert np.array_equal(case.orth_defect_seq, [orthogonality_defect(sp) for sp in spectra])
+        m_int = m_integral(case.states)
+        assert np.array_equal(case.m_int.m_values, m_int.m_values)
+        assert np.array_equal(case.m_int.tail_estimate, m_int.tail_estimate)
+
+    def test_analysis_memory_does_not_grow_with_snapshot_count(self):
+        # peak traced memory of run_case beyond what evolve's returned
+        # snapshots hold, in complex fields of n: 105 at 27 snapshots and
+        # 432 at 119 when every amplitude pair and rho row was kept, 22 to 25
+        # at both since the analysis folds each snapshot and drops it
+        def analysis_fields(ratio):
+            cfg = replace(SCENARIO_A, grid_n=1024, grid_length=256.0, t_final=20.0, snapshot_ratio=ratio)
+            _, schedule, _, _, state0 = _run_inputs(cfg, cfg.epsilon_single())
+            run_case(cfg)  # untraced, so one-time allocations stay out of the count
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                states = evolve(state0, schedule)
+                held = tracemalloc.get_traced_memory()[0] - before
+                del states
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                case = run_case(cfg)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            return len(case.states), (peak - held) / (16 * cfg.grid_n)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # T = 20 leaves a tail above threshold
+            sparse_count, sparse = analysis_fields(1.1)
+            dense_count, dense = analysis_fields(1.02)
+        assert (sparse_count, dense_count) == (27, 119)
+        # the slack covers the per-snapshot scalars and jitter (measured up to
+        # 2.2 fields); keeping one real row per extra snapshot would add 46
+        assert dense < sparse + 4.0, (sparse, dense)
 
     def test_epsilon_scaling_sanity(self):
         # halving eps halves the initial norm exactly and nearly halves it at t = 1
@@ -190,7 +246,7 @@ class TestDefectHelpers:
 
     def test_lemma_defect_zero_amplitude(self):
         case = run_case(TINY_CFG, 0.0)
-        anchored = case.spectra[_anchor_index(case.schedule.times)]
+        anchored = case.anchor_amplitudes
         d1, d2 = lemma_defect(anchored, case.psi1_hat, case.psi2_hat, 0.0)
         assert d1 == 0.0 and d2 == 0.0
 
@@ -302,6 +358,27 @@ class TestAprioriDiagnostics:
         rep = apriori_diagnostics(rec, 0.2)
         assert np.isfinite(rep.c_inf) and rep.c_inf > 0
         assert rep.growth_exponent < 1.0 / 12.0 + 0.05
+
+
+class TestTailWarning:
+    @pytest.mark.parametrize("scenario", [SCENARIO_A, SCENARIO_B], ids=["A", "B"])
+    def test_stock_scenarios_warn(self, scenario):
+        # measured: 7.2e-4 against 2.9e-4 on A, 1.19e-3 against 4.8e-5 on B
+        with pytest.warns(RuntimeWarning, match="beyond T = 400 exceeds the classification threshold") as seen:
+            case = run_case(scenario)
+        r = case.record
+        assert r.tail_estimate > r.threshold
+        message = str(seen[0].message)
+        assert f"tail estimate {r.tail_estimate:.3g}" in message
+        assert f"threshold {r.threshold:.3g}" in message
+
+    def test_resolved_run_stays_silent(self):
+        # a box holding the spread to T = 50: tail 1.9e-10 against 9.9e-8
+        cfg = replace(SCENARIO_A, grid_n=2048, grid_length=512.0, t_final=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            case = run_case(cfg)
+        assert 0 < case.record.tail_estimate < case.record.threshold
 
 
 class TestTailBound:

@@ -132,13 +132,19 @@ class TestClosedForm:
 
     def test_run_case_computes_amplitudes_once_per_snapshot(self, monkeypatch):
         amplitude_calls = []
+        rho_calls = []
         propagate_calls = []
         real_amplitudes = experiments.modified_amplitudes
+        real_rho = scattering.rho
         real_propagate = spectral.free_propagate
 
         def counting_amplitudes(state):
             amplitude_calls.append(state.t)
             return real_amplitudes(state)
+
+        def counting_rho(state, snap=None):
+            rho_calls.append(state.t)
+            return real_rho(state, snap)
 
         def counting_propagate(f, t):
             propagate_calls.append(t)
@@ -147,6 +153,8 @@ class TestClosedForm:
         # run_case's own calls, and any m_integral or rho makes for itself
         monkeypatch.setattr(experiments, "modified_amplitudes", counting_amplitudes)
         monkeypatch.setattr(scattering, "modified_amplitudes", counting_amplitudes)
+        monkeypatch.setattr(experiments, "rho", counting_rho)
+        monkeypatch.setattr(scattering, "rho", counting_rho)
         # every module that could call it by an imported name
         for module in (spectral, dynamics, scattering, experiments):
             if hasattr(module, "free_propagate"):
@@ -155,6 +163,8 @@ class TestClosedForm:
         case = experiments.run_case(cfg)
         assert len(amplitude_calls) == len(case.states)
         assert amplitude_calls == [s.t for s in case.states]
+        # and rho once per snapshot from the anchor on
+        assert rho_calls == [s.t for s in case.states if s.t >= 2.0]
         assert propagate_calls == []
 
 
@@ -349,6 +359,60 @@ class TestClassify:
         profile = m_endpoint(modified_amplitudes(snaps[-1]))
         with pytest.raises(ValueError):
             classify(profile, 0.0)
+
+
+def _bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestRhoFold:
+    """The one-pass fold against the stacked-row formulas it replaced, bitwise."""
+
+    def test_fold_is_numpy_trapezoid(self):
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((40, 64)) * 10.0 ** rng.integers(-300, 300, size=(40, 64))
+        rows[:, :4] = -0.0  # numpy's axis-0 sum starts from +0.0, and so must the fold
+        times = np.cumsum(rng.uniform(0.01, 3.0, size=40))
+        fold = scattering._RhoFold()
+        for t, row in zip(times.tolist(), rows):
+            fold.add(t, row)
+        assert _bitwise_equal(fold.integral, np.trapezoid(rows, times, axis=0))
+        assert fold.peaks == np.max(np.abs(rows), axis=1).tolist()
+
+    def test_routes_match_the_stacked_formulas(self, coupled_run, monkeypatch):
+        psi1, psi2, snaps = coupled_run
+        kept = snaps[scattering._anchor_index([s.t for s in snaps]):]
+        times = np.array([s.t for s in kept])
+        rows = np.stack([rho(s) for s in kept])
+
+        m_vals = scattering._endpoint_difference(modified_amplitudes(kept[0])) + np.trapezoid(rows, times, axis=0)
+        decade = times >= times[-1] / 10.0
+        p = scattering._fit_tail_exponent(times[decade], np.max(np.abs(rows[decade]), axis=1))
+        profile = m_integral(snaps)
+        assert _bitwise_equal(profile.m_values, m_vals)
+        assert _bitwise_equal(profile.tail_estimate, np.abs(rows[-1]) * times[-1] / (p - 1.0))
+
+        windows = ((4.0, 8.0), (8.0, 16.0), (16.0, 32.0))
+        stacked = []
+        for lo, hi in windows:
+            inside = (times >= lo - 1e-9) & (times <= hi + 1e-9)
+            stacked.append(np.trapezoid(rows[inside], times[inside], axis=0))
+            assert _bitwise_equal(integrate_rho_window(snaps, lo, hi), stacked[-1])
+
+        band = experiments.resolved_band(forward_ft(psi1), forward_ft(psi2))
+        weight = 1.0 + snaps[0].grid.frequencies ** 2
+        expected = [np.max(np.abs(w[band]) * weight[band]) / 0.1**4 for w in stacked]
+        calls = []
+
+        def counting_rho(state, snap=None):
+            calls.append(state.t)
+            return rho(state, snap)
+
+        monkeypatch.setattr(scattering, "rho", counting_rho)
+        assert _bitwise_equal(experiments.tail_bound_constants(snaps, band, 0.1, windows), expected)
+        # one pass: the shared endpoints 8 and 16 are computed once
+        assert calls == [t for t in times.tolist() if 4.0 <= t <= 32.0]
 
 
 class TestRhoWindow:

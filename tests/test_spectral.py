@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -16,7 +21,7 @@ from nlslab import (
     sup_norm,
     zero_field,
 )
-from nlslab.spectral import _abs2, _squared_norms
+from nlslab.spectral import _MALLOC_ENV, _abs2, _is_glibc, _squared_norms
 from conftest import dft_quadrature_oracle, idft_quadrature_oracle
 
 PI4 = np.pi**0.25  # l2 norm of exp(-x^2/2)
@@ -287,3 +292,45 @@ def test_propagator_group_property(grid, seed, s, t):
     lhs = free_propagate(free_propagate(f, t), s)
     rhs = free_propagate(f, s + t)
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-11 * l2_norm(f)
+
+
+# 50 warm steps at n = 16384, then the minor page faults they took
+_FAULT_PROBE = textwrap.dedent(
+    """
+    import resource
+    import nlslab
+    grid = nlslab.make_grid(16384, 2048.0)
+    psi1 = nlslab.gaussian_profile(grid, 1.0, 1.0)
+    psi2 = nlslab.gaussian_profile(grid, 0.5, 1.0)
+    state0 = nlslab.initial_state(grid, psi1, psi2, 0.1)
+    schedule = nlslab.make_schedule(dt=0.01, t_final=0.5)
+    nlslab.evolve(state0, schedule)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    nlslab.evolve(state0, schedule)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+)
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="the allocator setting applies to glibc only")
+@pytest.mark.parametrize(
+    "user_env, resident",
+    [
+        # the import-time setting: about 23k faults without it
+        ({}, True),
+        # glibc's own settings made by the user win; measured 50k faults
+        ({"MALLOC_MMAP_THRESHOLD_": "131072"}, False),
+        ({"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}, False),
+    ],
+    ids=["default", "user-variable", "user-tunable"],
+)
+def test_warm_evolve_steps_take_no_page_faults(user_env, resident):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in _MALLOC_ENV and k != "GLIBC_TUNABLES"}
+    env.update(user_env, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    faults = int(done.stdout)
+    assert faults < 64 if resident else faults > 1000, faults
