@@ -19,21 +19,22 @@ reports = nl.corollary_scenarios(base)
 
 for name in ("A", "B", "symmetric"):
     rep = reports[name]
-    print(f"scenario {name}: eps = {rep.epsilon}, T = {rep.t_final}")
+    case = rep.case  # the run itself: amplitude, schedule, per-snapshot monitors
+    print(f"scenario {name}: eps = {case.epsilon}, T = {case.schedule.t_final}")
     print(f"  tags present: {', '.join(rep.tags_present)}")
     print(f"  dominant-band amplitude retention: "
           f"{rep.band_norm_ratio1:.3f} / {rep.band_norm_ratio2:.3f}")
     print(f"  mass history (component 2): "
-          f"{rep.mass2_seq[0]:.6f} -> {rep.mass2_seq[-1]:.6f}")
-    late = rep.snapshot_times >= 10.0
+          f"{case.mass2_seq[0]:.6f} -> {case.mass2_seq[-1]:.6f}")
+    late = case.schedule.times >= 10.0
     print(f"  |alpha2| strictly decreasing after t = 10: "
-          f"{bool(np.all(np.diff(rep.alpha2_norm_seq[late]) < 0))}")
-    print(f"  orthogonality defect: {rep.orth_defect_seq[0]:.3e} -> {rep.orth_defect_seq[-1]:.3e}")
+          f"{bool(np.all(np.diff(case.alpha2_norm_seq[late]) < 0))}")
+    print(f"  orthogonality defect: {case.orth_defect_seq[0]:.3e} -> {case.orth_defect_seq[-1]:.3e}")
     print(f"  min m on the populated band: {rep.m_min_strong_band:.3e} "
-          f"(threshold {rep.threshold:.3e})")
+          f"(threshold {case.threshold:.3e})")
     print()
 
-rep_b = reports["B"]
+case_b = reports["B"].case
 print("scenario B, second-component amplitude norm along the run:")
-for t, a in zip(rep_b.snapshot_times[::4], rep_b.alpha2_norm_seq[::4]):
+for t, a in zip(case_b.schedule.times[::4], case_b.alpha2_norm_seq[::4]):
     print(f"  T = {t:7.2f}: |alpha2| = {a:.8f}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -179,18 +180,19 @@ def _cmd_scenario(args: list[str]) -> int:
     base = _load_config(args[1]) if len(args) == 2 else None
     reports = corollary_scenarios(base, which=(name,))
     rep = reports[name]
-    out = _outdir(rep.case.config)
+    case = rep.case
+    out = _outdir(case.config)
     write_table(
         os.path.join(out, f"scenario_{name}_monitor.tsv"),
         ["t", "mass1", "mass2", "alpha2_norm", "orth_defect"],
-        zip(rep.snapshot_times, rep.mass1_seq, rep.mass2_seq, rep.alpha2_norm_seq, rep.orth_defect_seq),
+        zip(case.schedule.times, case.mass1_seq, case.mass2_seq, case.alpha2_norm_seq, case.orth_defect_seq),
     )
-    _write_mprofile(os.path.join(out, f"scenario_{name}_mprofile.tsv"), rep.case)
-    print(f"scenario {name} (eps = {rep.epsilon:g}, T = {rep.t_final:g})")
+    _write_mprofile(os.path.join(out, f"scenario_{name}_mprofile.tsv"), case)
+    print(f"scenario {name} (eps = {case.epsilon:g}, T = {case.schedule.t_final:g})")
     print(f"  tags present: {', '.join(rep.tags_present)}")
     print(f"  dominant-band amplitude retention: {rep.band_norm_ratio1:.3f} / {rep.band_norm_ratio2:.3f}")
-    print(f"  final masses: {rep.mass1_seq[-1]:.6e} / {rep.mass2_seq[-1]:.6e}")
-    print(f"  min m on populated band: {rep.m_min_strong_band:.3e} (threshold {rep.threshold:.3e})")
+    print(f"  final masses: {case.record.mass1_final:.6e} / {case.record.mass2_final:.6e}")
+    print(f"  min m on populated band: {rep.m_min_strong_band:.3e} (threshold {case.threshold:.3e})")
     print(f"  tables in {out}/")
     return 0
 
@@ -302,9 +304,14 @@ def _verify_checks():
         return rel < 1e-3 and sym_zero == 0.0, f"identity mismatch {rel:.2e}, symmetric rho {sym_zero:.1e}"
 
     def check_m_routes():
+        # the check reads only c_quad; this small box leaves a tail above the
+        # threshold, so the run's warning is reported here, not printed
         eps = 0.1
-        gap = run_case(RunConfig(grid_n=grid.n, grid_length=grid.length, t_final=50.0), eps).record.c_quad
-        return gap < 1e-2 * eps**2, f"cross-route gap {gap:.2e} (want < {1e-2 * eps**2:.1e})"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gap = run_case(RunConfig(grid_n=grid.n, grid_length=grid.length, t_final=50.0), eps).record.c_quad
+        notes = "".join(f"; warned: {w.message}" for w in caught)
+        return gap < 1e-2 * eps**2, f"cross-route gap {gap:.2e} (want < {1e-2 * eps**2:.1e}){notes}"
 
     def check_m_decoupled():
         psi1 = gaussian_profile(grid, 1.0, 1.0, 0.0, 0.0)

@@ -19,7 +19,6 @@ remainder under the quadrature floor.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, replace
 
@@ -58,16 +57,12 @@ from .scattering import (
     MProfile,
     SpectralSnapshot,
     TAG_NAMES,
-    _RhoFold,
+    _AnchoredPass,
     _anchor_index,
-    _integral_profile,
-    _integral_start,
     _window_integrals,
     classify,
     m_endpoint,
-    modified_amplitudes,
     orthogonality_defect,
-    rho,
 )
 
 __all__ = [
@@ -140,7 +135,6 @@ class SweepRecord:
     mass1_final: float
     mass2_final: float
     step_count: int
-    wall_time: float
 
     def __post_init__(self) -> None:
         for name in ("lemma_defect1", "lemma_defect2", "theorem_defect", "tail_estimate"):
@@ -165,8 +159,8 @@ class CaseResult:
 
     `states` holds every system snapshot.  Their modified amplitudes are not
     kept: `run_case` folds each into the outputs below and drops it, keeping
-    only the amplitudes at the anchor and at T and, per snapshot, the
-    alpha2 norm and the orthogonality defect.
+    only the amplitudes at the anchor and at T and, per snapshot, both
+    masses, the alpha2 norm and the orthogonality defect.
     """
 
     config: RunConfig
@@ -176,6 +170,8 @@ class CaseResult:
     states: list[SystemState]
     anchor_amplitudes: SpectralSnapshot
     final_amplitudes: SpectralSnapshot
+    mass1_seq: np.ndarray
+    mass2_seq: np.ndarray
     alpha2_norm_seq: np.ndarray
     orth_defect_seq: np.ndarray
     psi1_hat: ComplexField
@@ -220,9 +216,7 @@ def theorem_defect(
     """
     delta = _abs2(psi1_hat.values) - _abs2(psi2_hat.values)
     dev = np.abs(profile.m_values - epsilon**2 * delta)
-    if not np.any(band):
-        return 0.0
-    return float(np.max(dev[band]))
+    return float(np.max(dev[band], initial=0.0))
 
 
 def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
@@ -236,47 +230,38 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     snapshot at the t = 2 anchor, or with fewer than 3 from it on, is
     rejected before anything is evolved.
 
-    The analysis is one pass over the snapshots: each one's modified
-    amplitudes are computed once, and from the anchor on its rho once; both
-    are folded into the outputs and dropped, so the analysis holds O(n)
-    memory whatever the snapshot count.  A band-max tail estimate above
-    the threshold means the tags may still change beyond T; it raises a
-    RuntimeWarning naming T and both values.
+    The analysis is the anchored route's one pass over the snapshots
+    (`scattering._AnchoredPass`): each one's modified amplitudes are
+    computed once, and from the anchor on its rho once; both are folded
+    into the outputs and dropped, with each snapshot's masses, alpha2 norm
+    and orthogonality defect, so the analysis holds O(n) memory whatever
+    the snapshot count.  A band-max tail estimate above the threshold
+    means the tags may still change beyond T; it raises a RuntimeWarning
+    naming T and both values.
     """
     eps = cfg.epsilon_single() if epsilon is None else float(epsilon)
     if cfg.t_final < T_ANCHOR:
         raise ValueError("scattering analysis needs t_final >= 2 (the anchor time)")
-    t_start = time.perf_counter()
     grid, schedule, psi1, psi2, state0 = _run_inputs(cfg, eps)
-    anchor = _integral_start(schedule.times)
+    run = _AnchoredPass(schedule.times)
     psi1_hat = forward_ft(psi1)
     psi2_hat = forward_ft(psi2)
     band = resolved_band(psi1_hat, psi2_hat)
 
     states = evolve(state0, schedule)
-    fold = _RhoFold()
-    alpha2_norms = np.empty(len(states))
-    orth_defects = np.empty(len(states))
+    monitors = np.empty((4, len(states)))
     for i, s in enumerate(states):
-        snap = modified_amplitudes(s)
-        alpha2_norms[i] = l2_norm(snap.alpha2)
-        orth_defects[i] = orthogonality_defect(snap)
-        if i == anchor:
-            anchor_snap = snap
-        if i >= anchor:
-            fold.add(s.t, rho(s, snap))
+        snap = run.add(s)
+        monitors[:, i] = mass(s.u1), mass(s.u2), l2_norm(snap.alpha2), orthogonality_defect(snap)
+    mass1s, mass2s, alpha2_norms, orth_defects = monitors
 
-    m_int = _integral_profile(anchor_snap, fold)
-    m_end = m_endpoint(snap)
+    m_int = run.profile()
+    m_end = m_endpoint(run.last)
 
-    d1, d2 = lemma_defect(anchor_snap, psi1_hat, psi2_hat, eps)
+    d1, d2 = lemma_defect(run.anchor, psi1_hat, psi2_hat, eps)
     t_defect = theorem_defect(m_end, psi1_hat, psi2_hat, eps, band)
-    if np.any(band):
-        c_quad = float(np.max(np.abs(m_end.m_values - m_int.m_values)[band]))
-        tail = float(np.max(m_int.tail_estimate[band]))
-    else:
-        c_quad = 0.0
-        tail = 0.0
+    c_quad = float(np.max(np.abs(m_end.m_values - m_int.m_values)[band], initial=0.0))
+    tail = float(np.max(m_int.tail_estimate[band], initial=0.0))
     threshold = max(10.0 * c_quad, 1e-6 * eps**2, float(np.finfo(np.float64).tiny))
     if tail > threshold:
         warnings.warn(
@@ -294,14 +279,13 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
         tail_estimate=tail,
         c_quad=c_quad,
         threshold=threshold,
-        mass1_final=mass(states[-1].u1),
-        mass2_final=mass(states[-1].u2),
+        mass1_final=float(mass1s[-1]),
+        mass2_final=float(mass2s[-1]),
         step_count=count_steps(schedule),
-        wall_time=time.perf_counter() - t_start,
     )
     return CaseResult(
-        cfg, eps, grid, schedule, states, anchor_snap, snap, alpha2_norms, orth_defects,
-        psi1_hat, psi2_hat, band, m_end, m_int, record,
+        cfg, eps, grid, schedule, states, run.anchor, run.last, mass1s, mass2s, alpha2_norms,
+        orth_defects, psi1_hat, psi2_hat, band, m_end, m_int, record,
     )
 
 
@@ -362,20 +346,12 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Monitored quantities for one corollary scenario run."""
+    """What one corollary scenario run derives from its case; the monitors are read from `case`."""
 
     name: str
-    epsilon: float
-    t_final: float
-    threshold: float
     tags_present: tuple[str, ...]
     band_norm_ratio1: float
     band_norm_ratio2: float
-    snapshot_times: np.ndarray
-    mass1_seq: np.ndarray
-    mass2_seq: np.ndarray
-    alpha2_norm_seq: np.ndarray
-    orth_defect_seq: np.ndarray
     m_min_strong_band: float
     case: CaseResult
 
@@ -404,23 +380,7 @@ def _scenario_report(name: str, case: CaseResult) -> ScenarioReport:
     strong = p1 > STRONG_BAND_FRACTION * np.max(p1)
     m_min_strong = float(np.min(case.m_end.m_values[strong])) if np.any(strong) else 0.0
 
-    times = np.array([s.t for s in case.states])
-    return ScenarioReport(
-        name=name,
-        epsilon=eps,
-        t_final=case.schedule.t_final,
-        threshold=case.threshold,
-        tags_present=present,
-        band_norm_ratio1=ratio1,
-        band_norm_ratio2=ratio2,
-        snapshot_times=times,
-        mass1_seq=np.array([mass(s.u1) for s in case.states]),
-        mass2_seq=np.array([mass(s.u2) for s in case.states]),
-        alpha2_norm_seq=case.alpha2_norm_seq,
-        orth_defect_seq=case.orth_defect_seq,
-        m_min_strong_band=m_min_strong,
-        case=case,
-    )
+    return ScenarioReport(name, present, ratio1, ratio2, m_min_strong, case)
 
 
 def corollary_scenarios(

@@ -37,13 +37,15 @@ error scale when thresholding the sign classification.
 The anchored route is a running time integral, so it is computed in one
 pass: each snapshot's rho row is folded into running reductions and
 dropped (`_RhoFold`): the trapezoid, the per-snapshot max |rho| and the
-last row for the tail fit.  `m_integral`, `integrate_rho_window` and
-`tail_bound_constants` use that fold, and so does `run_case`.  It computes
-each snapshot's amplitudes once, and from the anchor on its rho once.  It
-keeps the amplitudes at the anchor and at T, for the lemma defect and the
-endpoint route, and drops the rest.  So the analysis holds O(n) memory
-whatever the snapshot count, and the fold reproduces the stacked
-np.trapezoid bitwise.
+last row for the tail fit.  `integrate_rho_window` and
+`tail_bound_constants` use that fold directly.  The anchored route's one
+snapshot loop is `_AnchoredPass`: it computes each snapshot's amplitudes
+once, and from the anchor on its rho once, and keeps the amplitudes at the
+anchor and at T, for the lemma defect and the endpoint route.
+`m_integral` drives it from the anchor on and `run_case` over every
+snapshot, reading each snapshot's monitors off the amplitudes it returns.
+So the analysis holds O(n) memory whatever the snapshot count, and the
+fold reproduces the stacked np.trapezoid bitwise.
 """
 
 from __future__ import annotations
@@ -256,47 +258,63 @@ def _anchor_index(times) -> int:
     return int(np.argmin(gap))
 
 
-def _integral_start(times) -> int:
-    """The anchor index, where the anchored route starts; it needs 3 snapshots from there on."""
-    first = _anchor_index(times)
-    if len(times) - first < 3:
-        raise ValueError("integral route needs at least 3 snapshots from the anchor on")
-    return first
+class _AnchoredPass:
+    """The anchored route's one pass over a snapshot ladder.
+
+    Built from the ladder's times, ascending and with at least 3 snapshots
+    from the t = 2 anchor on; it rejects any other ladder before anything is
+    computed.  `add` takes the snapshots in order.  It computes each one's
+    modified amplitudes once and returns them, folds its rho from the
+    anchor on into a `_RhoFold`, and keeps the amplitudes at the anchor and
+    at the last snapshot; `profile` is the route's `MProfile`.  The
+    snapshots' times must be the ones the pass was built from; a caller may
+    start at `first`, the anchor's index, as `m_integral` does.
+    """
+
+    def __init__(self, times) -> None:
+        times = np.asarray(times, dtype=np.float64)
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("snapshot times must be strictly ascending")
+        self.first = _anchor_index(times)
+        if len(times) - self.first < 3:
+            raise ValueError("integral route needs at least 3 snapshots from the anchor on")
+        self.t_anchor = times[self.first]
+        self.fold = _RhoFold()
+        self.anchor: SpectralSnapshot | None = None
+        self.last: SpectralSnapshot | None = None
+
+    def add(self, state: SystemState) -> SpectralSnapshot:
+        snap = modified_amplitudes(state)
+        if state.t >= self.t_anchor:
+            if self.anchor is None:
+                self.anchor = snap
+            self.fold.add(state.t, rho(state, snap))
+        self.last = snap
+        return snap
+
+    def profile(self) -> MProfile:
+        """The anchor's endpoint difference plus the fold's trapezoid, with its tail estimate."""
+        m_vals = _endpoint_difference(self.anchor) + self.fold.integral
+        return MProfile(self.anchor.grid, m_vals, "integral", self.fold.times[-1], self.fold.tail_estimate())
 
 
-def _integral_profile(anchor: SpectralSnapshot, fold: _RhoFold) -> MProfile:
-    """The anchored route's profile: the anchor's endpoint difference plus the fold's trapezoid."""
-    m_vals = _endpoint_difference(anchor) + fold.integral
-    return MProfile(anchor.grid, m_vals, "integral", fold.times[-1], fold.tail_estimate())
-
-
-def m_integral(states: list[SystemState], spectra: list[SpectralSnapshot] | None = None) -> MProfile:
+def m_integral(states: list[SystemState]) -> MProfile:
     """Anchored route: time-2 endpoint difference plus a trapezoid of rho.
 
     Expects system snapshots in ascending time, one of them at the anchor
     t = 2 and the last at the truncation time T; earlier snapshots are
-    skipped.  `spectra`, their modified amplitudes in the same order, are
-    reused when given.  One pass from the anchor on computes each
-    snapshot's amplitudes (unless given) and rho once and folds them into
-    running reductions (`_RhoFold`), the same fold `run_case` uses, so no
-    (k, n) stack of rows is held.  The neglected tail beyond T is estimated
-    per frequency by extrapolating |rho| ~ t^-p, with p fitted to the
-    per-snapshot max |rho| on the last decade of snapshot times, and
-    attached to the returned profile.
+    skipped.  One pass from the anchor on (`_AnchoredPass`, the pass
+    `run_case` makes) computes each snapshot's amplitudes and rho once and
+    folds them into running reductions, so no (k, n) stack of rows is
+    held.  The neglected tail beyond T is estimated per frequency by
+    extrapolating |rho| ~ t^-p, with p fitted to the per-snapshot max |rho|
+    on the last decade of snapshot times, and attached to the returned
+    profile.
     """
-    if spectra is not None and len(spectra) != len(states):
-        raise ValueError(f"{len(spectra)} spectra given for {len(states)} snapshots")
-    times = np.array([s.t for s in states], dtype=np.float64)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("snapshot times must be strictly ascending")
-    first = _integral_start(times)
-    fold = _RhoFold()
-    for i in range(first, len(states)):
-        snap = modified_amplitudes(states[i]) if spectra is None else spectra[i]
-        if i == first:
-            anchor = snap
-        fold.add(states[i].t, rho(states[i], snap))
-    return _integral_profile(anchor, fold)
+    run = _AnchoredPass([s.t for s in states])
+    for state in states[run.first:]:
+        run.add(state)
+    return run.profile()
 
 
 def m_endpoint(final_snapshot: SpectralSnapshot) -> MProfile:

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -185,7 +186,6 @@ class TestSweepCommand:
                 "mass1_final",
                 "mass2_final",
                 "step_count",
-                "wall_time",
             ],
             [
                 (
@@ -199,7 +199,6 @@ class TestSweepCommand:
                     r.mass1_final,
                     r.mass2_final,
                     float(r.step_count),
-                    r.wall_time,
                 )
                 for r in result.records
             ],
@@ -233,9 +232,35 @@ class TestScenarioCommand:
         assert main(["scenario", "Z"]) == 1
 
 
+class TestDeterminism:
+    def test_tables_are_bitwise_reproducible(self, tmp_path, capsys):
+        # every table of mprofile, sweep and scenario B, written twice
+        def tables(run):
+            (tmp_path / run).mkdir()
+            single, out = write_cfg(tmp_path / run, TINY, "single.cfg")
+            sweep, _ = write_cfg(tmp_path / run, SWEEPABLE, "sweep.cfg")
+            for args in (["mprofile", single], ["sweep", sweep], ["scenario", "B", single]):
+                assert main(args) == 0
+            return {name: open(os.path.join(out, name), "rb").read() for name in sorted(os.listdir(out))}
+
+        first = tables("first")
+        assert sorted(first) == [
+            "classification.tsv",
+            "mprofile.tsv",
+            "orderfit.tsv",
+            "scenario_B_monitor.tsv",
+            "scenario_B_mprofile.tsv",
+            "sweep.tsv",
+        ]
+        assert tables("second") == first
+
+
 class TestVerifyCommand:
     def test_verify_passes_and_prints_lines(self, capsys):
-        assert main(["verify"]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify"]) == 0
+        assert [str(w.message) for w in caught] == []  # nothing printed between the PASS lines
         out = capsys.readouterr().out
         assert out.count("PASS") >= 12
         assert "FAIL" not in out

@@ -186,6 +186,9 @@ class TestRunCase:
             assert np.array_equal(kept.alpha2.values, fresh.alpha2.values)
         assert np.array_equal(case.alpha2_norm_seq, [l2_norm(sp.alpha2) for sp in spectra])
         assert np.array_equal(case.orth_defect_seq, [orthogonality_defect(sp) for sp in spectra])
+        assert np.array_equal(case.mass1_seq, [mass(s.u1) for s in case.states])
+        assert np.array_equal(case.mass2_seq, [mass(s.u2) for s in case.states])
+        assert (case.record.mass1_final, case.record.mass2_final) == (case.mass1_seq[-1], case.mass2_seq[-1])
         m_int = m_integral(case.states)
         assert np.array_equal(case.m_int.m_values, m_int.m_values)
         assert np.array_equal(case.m_int.tail_estimate, m_int.tail_estimate)
@@ -299,15 +302,16 @@ class TestScenarios:
 
     def test_scenario_b_second_dies(self, reports):
         rep = reports["B"]
-        late = rep.snapshot_times >= 10.0
-        assert np.all(np.diff(rep.alpha2_norm_seq[late]) < 0)
-        assert rep.m_min_strong_band > rep.threshold
-        assert rep.mass2_seq[-1] < rep.mass2_seq[0]
+        case = rep.case
+        late = case.schedule.times >= 10.0
+        assert np.all(np.diff(case.alpha2_norm_seq[late]) < 0)
+        assert rep.m_min_strong_band > case.threshold
+        assert case.mass2_seq[-1] < case.mass2_seq[0]
 
     def test_symmetric_all_vanish(self, reports):
         rep = reports["symmetric"]
         assert rep.tags_present == ("both-vanish",)
-        assert np.max(np.abs(rep.case.m_end.m_values)) <= rep.threshold
+        assert np.max(np.abs(rep.case.m_end.m_values)) <= rep.case.threshold
 
     def test_swapping_components_swaps_report_quantities(self):
         base = replace(TINY_CFG, t_final=20.0)

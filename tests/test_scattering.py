@@ -134,7 +134,7 @@ class TestClosedForm:
         amplitude_calls = []
         rho_calls = []
         propagate_calls = []
-        real_amplitudes = experiments.modified_amplitudes
+        real_amplitudes = scattering.modified_amplitudes
         real_rho = scattering.rho
         real_propagate = spectral.free_propagate
 
@@ -150,15 +150,15 @@ class TestClosedForm:
             propagate_calls.append(t)
             return real_propagate(f, t)
 
-        # run_case's own calls, and any m_integral or rho makes for itself
-        monkeypatch.setattr(experiments, "modified_amplitudes", counting_amplitudes)
-        monkeypatch.setattr(scattering, "modified_amplitudes", counting_amplitudes)
-        monkeypatch.setattr(experiments, "rho", counting_rho)
-        monkeypatch.setattr(scattering, "rho", counting_rho)
-        # every module that could call it by an imported name
+        # every module that could call them by an imported name
         for module in (spectral, dynamics, scattering, experiments):
-            if hasattr(module, "free_propagate"):
-                monkeypatch.setattr(module, "free_propagate", counting_propagate)
+            for name, counting in (
+                ("modified_amplitudes", counting_amplitudes),
+                ("rho", counting_rho),
+                ("free_propagate", counting_propagate),
+            ):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
         cfg = replace(SCENARIO_B, grid_n=512, grid_length=64.0, t_final=20.0)
         case = experiments.run_case(cfg)
         assert len(amplitude_calls) == len(case.states)
@@ -166,6 +166,30 @@ class TestClosedForm:
         # and rho once per snapshot from the anchor on
         assert rho_calls == [s.t for s in case.states if s.t >= 2.0]
         assert propagate_calls == []
+
+    def test_m_integral_computes_amplitudes_once_from_the_anchor_on(self, coupled_run, monkeypatch):
+        _, _, snaps = coupled_run
+        amplitude_calls = []
+        rho_calls = []
+        real_amplitudes = scattering.modified_amplitudes
+        real_rho = scattering.rho
+
+        def counting_amplitudes(state):
+            amplitude_calls.append(state.t)
+            return real_amplitudes(state)
+
+        def counting_rho(state, snap=None):
+            rho_calls.append(state.t)
+            return real_rho(state, snap)
+
+        monkeypatch.setattr(scattering, "modified_amplitudes", counting_amplitudes)
+        monkeypatch.setattr(scattering, "rho", counting_rho)
+        assert snaps[0].t == 0.0 and snaps[1].t == 2.0
+        m_integral(snaps)
+        # once per snapshot from the anchor on, and never for t = 0 before it
+        anchored = [s.t for s in snaps[1:]]
+        assert amplitude_calls == anchored
+        assert rho_calls == anchored
 
 
 class TestRho:
@@ -250,9 +274,6 @@ class TestMRoutes:
             m_integral(snaps[:3])  # t = 0, the anchor and one more
         with pytest.raises(ValueError, match="ascending"):
             m_integral(snaps[::-1])
-        spectra = [modified_amplitudes(s) for s in snaps]
-        with pytest.raises(ValueError, match="spectra given"):
-            m_integral(snaps, spectra[1:])
 
     def test_integral_route_starts_at_the_anchor(self, coupled_run):
         _, _, snaps = coupled_run
@@ -261,8 +282,6 @@ class TestMRoutes:
         whole, started = m_integral(snaps), m_integral(anchored)
         assert np.array_equal(whole.m_values, started.m_values)
         assert np.array_equal(whole.tail_estimate, started.tail_estimate)
-        spectra = [modified_amplitudes(s) for s in snaps]
-        assert np.array_equal(m_integral(snaps, spectra).m_values, whole.m_values)
         with pytest.raises(ValueError, match="no snapshot at the t = 2 anchor"):
             m_integral(snaps[2:])
 
