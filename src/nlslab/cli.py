@@ -11,11 +11,11 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import SCENARIO_A, ConfigError, RunConfig, parse_config, serialize_config
 from .spectral import (
     ComplexField,
     SPACE,
@@ -304,14 +304,13 @@ def _verify_checks():
         return rel < 1e-3 and sym_zero == 0.0, f"identity mismatch {rel:.2e}, symmetric rho {sym_zero:.1e}"
 
     def check_m_routes():
-        # the check reads only c_quad; this small box leaves a tail above the
-        # threshold, so the run's warning is reported here, not printed
-        eps = 0.1
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            gap = run_case(RunConfig(grid_n=grid.n, grid_length=grid.length, t_final=50.0), eps).record.c_quad
-        notes = "".join(f"; warned: {w.message}" for w in caught)
-        return gap < 1e-2 * eps**2, f"cross-route gap {gap:.2e} (want < {1e-2 * eps**2:.1e}){notes}"
+        # Scenario A on a box holding its spread to T = 50; any warning fails the check
+        cfg = replace(SCENARIO_A, grid_n=2048, grid_length=512.0, t_final=50.0)
+        eps = cfg.epsilon_single()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gap = run_case(cfg).record.c_quad
+        return gap < 1e-2 * eps**2, f"cross-route gap {gap:.2e} (want < {1e-2 * eps**2:.1e})"
 
     def check_m_decoupled():
         psi1 = gaussian_profile(grid, 1.0, 1.0, 0.0, 0.0)

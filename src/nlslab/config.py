@@ -32,7 +32,7 @@ import re
 
 import numpy as np
 
-from .dynamics import DEFAULT_DT, DEFAULT_GROW_AFTER, DEFAULT_GROWTH_CAP
+from .dynamics import DEFAULT_DT, DEFAULT_GROW_AFTER, DEFAULT_GROWTH_CAP, DEFAULT_SNAPSHOT_RATIO, DEFAULT_T_FINAL
 from .spectral import _is_power_of_two
 from .tables import _fmt
 
@@ -96,8 +96,8 @@ class RunConfig:
     grid_n: int = 4096
     grid_length: float = 256.0
     dt: float = DEFAULT_DT
-    t_final: float = 400.0
-    snapshot_ratio: float = 2.0**0.25
+    t_final: float = DEFAULT_T_FINAL
+    snapshot_ratio: float = DEFAULT_SNAPSHOT_RATIO
     grow_after: float = DEFAULT_GROW_AFTER
     growth_cap: float = DEFAULT_GROWTH_CAP
     psi1: ProfileSpec = field(default_factory=ProfileSpec)

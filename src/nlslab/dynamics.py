@@ -75,6 +75,8 @@ TIME_TOL = 1e-9
 DEFAULT_DT = 0.01
 DEFAULT_GROW_AFTER = T_ANCHOR
 DEFAULT_GROWTH_CAP = 0.05
+DEFAULT_T_FINAL = 400.0
+DEFAULT_SNAPSHOT_RATIO = 2.0**0.25
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,8 @@ class Schedule:
 
 def make_schedule(
     dt: float = DEFAULT_DT,
-    t_final: float = 400.0,
-    snapshot_ratio: float = 2.0**0.25,
+    t_final: float = DEFAULT_T_FINAL,
+    snapshot_ratio: float = DEFAULT_SNAPSHOT_RATIO,
     grow_after: float = DEFAULT_GROW_AFTER,
     growth_cap: float = DEFAULT_GROWTH_CAP,
     extra_times: tuple[float, ...] = (),

@@ -12,8 +12,9 @@ closed form as that multiplier applied to the FFT of u_j, followed by the
 centering phase and scale it shares with `forward_ft`
 (`spectral._back_propagated_ft`): no inverse transform and no propagated
 space-side field.  Both components share one stacked (2, n) FFT
-call, so a snapshot's amplitudes cost one transform call; the integrand rho
-adds one more, for the stacked pair of nonlinearities.
+call, so a snapshot's amplitudes cost one transform call.  The integrand
+rho costs one more, a stacked (4, n) FFT of the pair and its two
+nonlinearities, and no multiplier.
 
 The central object is the per-frequency sign profile
 
@@ -25,14 +26,20 @@ independent routes compute it:
 * the anchored route (`m_integral`): time-2 anchor plus a trapezoid of the
   integrand rho over the snapshot ladder from the anchor on;
 * the endpoint route (`m_endpoint`): because d alpha_j/dt = -FT U(-t) N_j(u)
-  makes rho exactly the time derivative of |alpha_1|^2 - |alpha_2|^2 (the
-  1/t model terms cancel in the real-part combination), the integral
-  telescopes and m is just the endpoint difference |alpha_1(T)|^2 -
-  |alpha_2(T)|^2.  The amplitudes at T are the finite-T stand-in for the
-  scattering pair.
+  makes rho exactly the time derivative of |alpha_1|^2 - |alpha_2|^2, the
+  integral telescopes and m is just the endpoint difference
+  |alpha_1(T)|^2 - |alpha_2(T)|^2.  The amplitudes at T are the finite-T
+  stand-in for the scattering pair.
 
 Their disagreement is pure quadrature error and is used as the realized
 error scale when thresholding the sign classification.
+
+In rho's defining combination (see `rho`) the 1/t model terms add
+(2/t) |alpha_1|^2 |alpha_2|^2 once with each sign, and in each remaining
+product conj(alpha_j) FT U(-t) N_j the unimodular multiplier
+exp(+i t xi^2 / 2) and centering sign enter once conjugated and once not.
+Both cancel, so rho is a closed form in the state alone: no amplitudes, no
+multiplier and no 1/t.
 
 The anchored route is a running time integral, so it is computed in one
 pass: each snapshot's rho row is folded into running reductions and
@@ -154,44 +161,33 @@ def modified_amplitudes(state: SystemState) -> SpectralSnapshot:
     return SpectralSnapshot(state.t, *_field_pair(state.grid, alpha, FREQUENCY))
 
 
-def rho(state: SystemState, snap: SpectralSnapshot | None = None) -> np.ndarray:
+def rho(state: SystemState) -> np.ndarray:
     """Integrand of the sign profile's tail on the frequency grid, from one state.
 
-    rho = 2 Re[ conj(alpha_1) R_1 - conj(alpha_2) R_2 ] where R_j compares
-    the back-propagated true nonlinearity with its resonant 1/t model:
+    rho = 2 Re[ conj(alpha_1) R_1 - conj(alpha_2) R_2 ], the rate of change
+    of |alpha_1|^2 - |alpha_2|^2, where R_j compares the back-propagated
+    true nonlinearity with its resonant 1/t model:
 
         R_1 = (1/t) |alpha_2|^2 alpha_1 - FT U(-t)[ |u2|^2 u1 ],
 
-    and symmetrically for R_2.  The 1/t terms cancel in the combination, so
-    rho equals the instantaneous rate of change of |alpha_1|^2 - |alpha_2|^2;
-    the samples are exactly real by construction, returned as one float64
-    row, and swapping the components negates them bitwise.
+    and symmetrically for R_2.  The model terms and the multiplier cancel
+    (see the module docstring), so one stacked (4, n) FFT call F gives
 
-    `snap`, the state's own `modified_amplitudes`, is reused when given;
-    otherwise it is computed here.  The two nonlinearities cost one more
-    stacked FFT call and are back-propagated in closed form like the
-    amplitudes.  A non-finite nonlinearity or sample aborts the run.
+        rho = (dx^2/pi) fftshift Re[ conj(F u2) F N2 - conj(F u1) F N1 ],
+
+    N1 = |u2|^2 u1 and N2 = |u1|^2 u2.  Swapping the components negates the
+    float64 row bitwise.  A non-finite nonlinearity or sample aborts the run.
     """
     t = state.t
     if t <= 0:
-        raise ValueError("rho requires t > 0 (the resonant model carries a 1/t factor)")
-    g = state.grid
-    if snap is None:
-        snap = modified_amplitudes(state)
-    elif snap.t != t or snap.grid != g:
-        raise ValueError(f"snapshot at t = {snap.t} does not belong to the state at t = {t}")
-    a1 = snap.alpha1.values
-    a2 = snap.alpha2.values
-
-    nonlin = state.stacked()
-    nonlin *= _abs2(nonlin[::-1])  # rows |u2|^2 u1 and |u1|^2 u2
-    if not np.all(np.isfinite(nonlin)):
+        raise ValueError("rho requires t > 0 (its resonant model is defined for t > 0 only)")
+    rows = np.tile(state.stacked(), (2, 1))
+    rows[2:] *= _abs2(rows[1::-1])  # rows u1, u2, |u2|^2 u1 and |u1|^2 u2
+    if not np.all(np.isfinite(rows[2:])):
         raise SimulationAbort(f"non-finite nonlinearity in rho at t = {t}")
-    g1, g2 = _back_propagated_ft(g, np.fft.fft(nonlin), t)
-
-    r1 = _abs2(a2) * a1 / t - g1
-    r2 = _abs2(a1) * a2 / t - g2
-    vals = 2.0 * np.real(np.conj(a1) * r1 - np.conj(a2) * r2)
+    f1, f2, n1, n2 = np.fft.fft(rows, out=rows)
+    vals = np.fft.fftshift((np.conj(f2) * n2 - np.conj(f1) * n1).real)
+    vals *= state.grid.dx**2 / np.pi
     if not np.all(np.isfinite(vals)):
         raise SimulationAbort(f"non-finite rho at t = {t}")
     return vals
@@ -266,9 +262,11 @@ class _AnchoredPass:
     computed.  `add` takes the snapshots in order.  It computes each one's
     modified amplitudes once and returns them, folds its rho from the
     anchor on into a `_RhoFold`, and keeps the amplitudes at the anchor and
-    at the last snapshot; `profile` is the route's `MProfile`.  The
-    snapshots' times must be the ones the pass was built from; a caller may
-    start at `first`, the anchor's index, as `m_integral` does.
+    at the last snapshot; `profile` is the route's `MProfile`.  Its rho,
+    defined through `rho`'s R_j, comes from the state alone, as (dx^2/pi)
+    fftshift Re[ conj(F u2) F N2 - conj(F u1) F N1 ].  The snapshots' times
+    must be the ones the pass was built from; a caller may start at
+    `first`, the anchor's index, as `m_integral` does.
     """
 
     def __init__(self, times) -> None:
@@ -288,7 +286,7 @@ class _AnchoredPass:
         if state.t >= self.t_anchor:
             if self.anchor is None:
                 self.anchor = snap
-            self.fold.add(state.t, rho(state, snap))
+            self.fold.add(state.t, rho(state))
         self.last = snap
         return snap
 

@@ -265,5 +265,16 @@ class TestVerifyCommand:
         assert out.count("PASS") >= 12
         assert "FAIL" not in out
 
+    def test_verify_fails_on_a_warning_from_the_m_route_run(self, capsys, monkeypatch):
+        def warning_run_case(cfg):
+            warnings.warn("tail estimate exceeds the classification threshold", RuntimeWarning)
+            raise AssertionError("the warning should have stopped the run")
+
+        monkeypatch.setattr(nlslab.cli, "run_case", warning_run_case)
+        assert main(["verify"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  m_route_agreement: raised RuntimeWarning: tail estimate exceeds" in out
+        assert "1 check(s) failed" in out
+
     def test_verify_rejects_arguments(self, capsys):
         assert main(["verify", "extra"]) == 1
