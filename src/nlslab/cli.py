@@ -75,6 +75,14 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.output_dir
 
 
+def _snapshot_rows(grid, snapshots):
+    """One (t, x, re u1, im u1, re u2, im u2) row per grid point, one snapshot block at a time."""
+    for s in snapshots:
+        u1, u2 = s.u1.values, s.u2.values
+        block = np.column_stack([np.full(grid.n, s.t), grid.points, u1.real, u1.imag, u2.real, u2.imag])
+        yield from block.tolist()
+
+
 def _cmd_evolve(args: list[str]) -> int:
     if len(args) != 1:
         raise ConfigError("evolve takes exactly one argument: the config path")
@@ -87,22 +95,10 @@ def _cmd_evolve(args: list[str]) -> int:
     if "observers" in cfg.tables:
         write_table(os.path.join(out, "observers.tsv"), recorder.header, recorder.rows)
     if "snapshots" in cfg.tables:
-        u1 = np.concatenate([s.u1.values for s in snapshots])
-        u2 = np.concatenate([s.u2.values for s in snapshots])
-        rows = np.column_stack(
-            [
-                np.repeat([s.t for s in snapshots], grid.n),
-                np.tile(grid.points, len(snapshots)),
-                u1.real,
-                u1.imag,
-                u2.real,
-                u2.imag,
-            ]
-        )
         write_table(
             os.path.join(out, "snapshots.tsv"),
             ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"],
-            (row.tolist() for row in rows),
+            _snapshot_rows(grid, snapshots),
         )
     final = snapshots[-1]
     print(

@@ -289,6 +289,17 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     )
 
 
+def _check_fit_amplitudes(epsilons) -> None:
+    """The amplitude ladder an order fit needs: 4 distinct, positive, finite, spanning a factor 4."""
+    eps = np.asarray(epsilons, dtype=np.float64)
+    if len(np.unique(eps)) < 4:
+        raise ValueError("order fit needs at least 4 distinct epsilon values")
+    if np.any(eps <= 0) or np.any(~np.isfinite(eps)):
+        raise ValueError("epsilon values must be positive and finite")
+    if eps.max() / eps.min() < MIN_EPSILON_SPAN:
+        raise ValueError(f"epsilon values must span a factor >= {MIN_EPSILON_SPAN}")
+
+
 def fit_order(epsilons, defects) -> OrderFit:
     """Fit defect ~ C * eps^p in log-log; exact on synthetic power laws.
 
@@ -299,12 +310,7 @@ def fit_order(epsilons, defects) -> OrderFit:
     d = np.asarray(defects, dtype=np.float64)
     if eps.shape != d.shape or eps.ndim != 1:
         raise ValueError("epsilons and defects must be 1-d arrays of equal length")
-    if len(np.unique(eps)) < 4:
-        raise ValueError("order fit needs at least 4 distinct epsilon values")
-    if np.any(eps <= 0) or np.any(~np.isfinite(eps)):
-        raise ValueError("epsilon values must be positive and finite")
-    if eps.max() / eps.min() < MIN_EPSILON_SPAN:
-        raise ValueError(f"epsilon values must span a factor >= {MIN_EPSILON_SPAN}")
+    _check_fit_amplitudes(eps)
     if np.any(d <= 0) or np.any(~np.isfinite(d)):
         raise ValueError("defects must be positive and finite for a log-log fit")
     slope, intercept = np.polyfit(np.log(eps), np.log(d), 1)
@@ -328,9 +334,12 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     its defect first, since the finite end time biases the raw defect at
     the smallest amplitudes.  If any tail estimate swamps its defect (the
     truncation error is not resolvable at this end time), the fit falls
-    back to the raw defects and reports tail_subtracted = False.
+    back to the raw defects and reports tail_subtracted = False.  A ladder
+    the fits cannot use is rejected before the first case runs.
     """
-    records = [run_case(cfg, eps).record for eps in cfg.epsilon_sweep()]
+    ladder = cfg.epsilon_sweep()
+    _check_fit_amplitudes(ladder)
+    records = [run_case(cfg, eps).record for eps in ladder]
     eps = np.array([r.epsilon for r in records])
     raw = np.array([r.theorem_defect for r in records])
     adjusted = raw - np.array([r.tail_estimate for r in records])
@@ -399,10 +408,11 @@ def corollary_scenarios(
     and amplitude in place of base's.
     """
     presets = {"A": SCENARIO_A, "B": SCENARIO_B, "symmetric": SCENARIO_SYMMETRIC}
-    reports: dict[str, ScenarioReport] = {}
     for name in which:
         if name not in presets:
             raise ValueError(f"unknown scenario {name!r}; pick from {sorted(presets)}")
+    reports: dict[str, ScenarioReport] = {}
+    for name in which:
         cfg = presets[name]
         if base is not None:
             cfg = replace(base, psi1=cfg.psi1, psi2=cfg.psi2, epsilons=cfg.epsilons)

@@ -26,6 +26,23 @@ from functools import cached_property
 
 import numpy as np
 
+__all__ = [
+    "SPACE",
+    "FREQUENCY",
+    "Grid",
+    "ComplexField",
+    "SimulationAbort",
+    "make_grid",
+    "forward_ft",
+    "inverse_ft",
+    "free_propagate",
+    "l2_norm",
+    "sup_norm",
+    "j_norm",
+    "gaussian_profile",
+    "zero_field",
+]
+
 SPACE = "space"
 FREQUENCY = "frequency"
 

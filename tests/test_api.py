@@ -1,0 +1,25 @@
+import types
+
+import pytest
+
+import nlslab
+
+MODULES = ("spectral", "dynamics", "scattering", "experiments", "config", "tables")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_listed_name_is_the_same_object_on_the_package(module):
+    mod = getattr(nlslab, module)
+    for name in mod.__all__:
+        assert getattr(nlslab, name) is getattr(mod, name), name
+
+
+def test_package_api_is_exactly_the_union_of_the_module_lists():
+    public = {
+        name
+        for name, value in vars(nlslab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    listed = [name for module in MODULES for name in getattr(nlslab, module).__all__]
+    assert len(listed) == len(set(listed))  # no name is exported by two modules
+    assert public == set(listed)

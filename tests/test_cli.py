@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestEvolveCommand:
         assert rows2.shape[0] % 64 == 0
 
     def test_snapshots_table_matches_per_element_writer(self, tmp_path, capsys):
-        # reference: the per-element row loop the column-array writer replaced
+        # reference: the per-element row loop the block-per-snapshot writer replaced
         cfg, out = write_cfg(tmp_path, TINY)
         assert main(["evolve", cfg]) == 0
         run = parse_config(TINY.format(out=out))
@@ -105,6 +106,34 @@ class TestEvolveCommand:
         write_table(str(expected), ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"], rows)
         with open(os.path.join(out, "snapshots.tsv"), "rb") as fh:
             assert fh.read() == expected.read_bytes()
+
+    def test_snapshot_table_memory_does_not_grow_with_the_snapshot_count(self, tmp_path, capsys):
+        # beyond the snapshots evolve returns (32 n bytes each), writing
+        # snapshots.tsv holds one snapshot block at a time, however many
+        n = 1024
+
+        def excess_pair_fields(ratio):
+            run_dir = tmp_path / f"ratio-{ratio}"
+            run_dir.mkdir()
+            text = f"grid.n = {n}\ngrid.length = 256\ntime.t_final = 50\ntime.snapshot_ratio = {ratio!r}\n"
+            cfg, _ = write_cfg(run_dir, text + "outputs.directory = {out}\n")
+            run = parse_config(text)
+            count = len(make_schedule(run.dt, run.t_final, run.snapshot_ratio, run.grow_after, run.growth_cap).times)
+            tracemalloc.start()
+            try:
+                assert main(["evolve", cfg]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return count, (peak - 32 * n * count) / (32 * n)
+
+        assert main(["evolve", write_cfg(tmp_path, TINY)[0]]) == 0  # one-time allocations, untraced
+        few, sparse = excess_pair_fields(2**0.25)
+        many, dense = excess_pair_fields(1.02)
+        assert (few, many) == (21, 165)
+        # a whole-run copy of the table's columns adds about 3 pair-fields per
+        # snapshot (436 from 21 to 165 snapshots); one block at a time adds < 1
+        assert dense - sparse < 8.0, (sparse, dense)
 
     def test_epsilon_list_rejected(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, SWEEPABLE)
@@ -216,6 +245,20 @@ class TestSweepCommand:
             assert fh.read() == sweep
         with open(os.path.join(out, "orderfit.tsv"), encoding="utf-8") as fh:
             assert fh.read() == orderfit
+
+    def test_bad_ladder_is_validation_error_before_any_case(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        run_case = nlslab.experiments.run_case
+
+        def counting_run_case(*args, **kwargs):
+            calls.append(args)
+            return run_case(*args, **kwargs)
+
+        monkeypatch.setattr(nlslab.experiments, "run_case", counting_run_case)
+        cfg, out = write_cfg(tmp_path, SWEEPABLE.replace("0.05, 0.1, 0.2, 0.4", "0.1, 0.2, 0.4"))
+        assert main(["sweep", cfg]) == 1
+        assert "at least 4 distinct epsilon values" in capsys.readouterr().err
+        assert calls == [] and not os.path.exists(out)
 
 
 class TestScenarioCommand:

@@ -348,8 +348,8 @@ class TestScheduleAndEvolve:
     def test_observer_and_merged_paths_agree_with_grown_steps(
         self, grid, unit_gaussian, half_gaussian
     ):
-        # default schedule: the step grows past t = 10, so h changes between
-        # snapshot intervals
+        # default schedule: the step grows from the t = 2 anchor on, so h
+        # changes between snapshot intervals
         sched = make_schedule(dt=0.01, t_final=20.0)
         seen = []
         fast = evolve(initial_state(grid, unit_gaussian, half_gaussian, 0.2), sched)

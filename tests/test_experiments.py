@@ -42,6 +42,21 @@ from nlslab.scattering import _anchor_index
 TINY_CFG = RunConfig(grid_n=256, grid_length=32.0, dt=0.01, t_final=20.0)
 
 
+@pytest.fixture
+def run_case_calls(monkeypatch):
+    """The cases the experiments module runs, each passed on to run_case."""
+    import nlslab.experiments as experiments
+
+    calls = []
+
+    def counting_run_case(*args, **kwargs):
+        calls.append(args)
+        return run_case(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_case", counting_run_case)
+    return calls
+
+
 class TestFitOrder:
     def test_exact_cubic(self):
         eps = np.array([0.05, 0.1, 0.2, 0.4])
@@ -291,6 +306,20 @@ class TestSweep:
         for r in tiny_sweep.records:
             assert np.isfinite(r.theorem_defect) and r.theorem_defect >= 0
 
+    @pytest.mark.parametrize(
+        "ladder, match",
+        [
+            ((0.1, 0.2, 0.4), "order fit needs at least 4 distinct epsilon values"),
+            ((0.1, 0.12, 0.14, 0.16), "epsilon values must span a factor >= 4.0"),
+            ((0.0, 0.1, 0.2, 0.4), "epsilon values must be positive and finite"),
+        ],
+        ids=["three", "narrow", "zero"],
+    )
+    def test_bad_ladder_rejected_before_any_case(self, run_case_calls, ladder, match):
+        with pytest.raises(ValueError, match=match):
+            run_sweep(replace(TINY_CFG, t_final=5.0, epsilons=ladder))
+        assert run_case_calls == []
+
 
 class TestScenarios:
     def test_scenario_a_both_survive(self, reports):
@@ -324,9 +353,13 @@ class TestScenarios:
         assert np.array_equal(m1f, m2r)
         assert np.array_equal(case_r.m_end.m_values, -case_f.m_end.m_values)
 
-    def test_unknown_scenario_rejected(self):
+    def test_unknown_scenario_rejected(self, run_case_calls):
         with pytest.raises(ValueError):
             corollary_scenarios(which=("C",))
+        # every name is checked before the first scenario runs
+        with pytest.raises(ValueError, match="unknown scenario 'C'"):
+            corollary_scenarios(which=("A", "C"))
+        assert run_case_calls == []
 
 
 class TestAprioriDiagnostics:
