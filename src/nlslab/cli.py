@@ -1,12 +1,20 @@
 """Command-line surface: evolve / mprofile / sweep / scenario / verify.
 
 Exit codes: 0 success, 1 validation error (bad usage, unreadable or invalid
-configuration), 2 runtime abort (non-finite samples, mass growth, or a
-failed self-check in `verify`).
+configuration, a table that cannot be written), 2 runtime abort (non-finite
+samples, mass growth, or a failed self-check in `verify`).
+
+`evolve` opens `snapshots.tsv` before the run and hands each snapshot block
+to one forked writer process, which formats and appends it while the next
+interval is evolved; on one core, or without `fork`, the same formatter
+runs in-process.  An abort or a failed write stops the writer and removes
+the file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import sys
 import tempfile
@@ -47,7 +55,7 @@ from .experiments import (
     run_sweep,
     corollary_scenarios,
 )
-from .tables import read_table, write_table
+from .tables import block_formatter, open_table, read_table, write_table
 
 USAGE = """\
 usage: nlslab <command> [arguments]
@@ -75,31 +83,148 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.output_dir
 
 
-def _snapshot_rows(grid, snapshots):
-    """One (t, x, re u1, im u1, re u2, im u2) row per grid point, one snapshot block at a time."""
-    for s in snapshots:
-        u1, u2 = s.u1.values, s.u2.values
-        block = np.column_stack([np.full(grid.n, s.t), grid.points, u1.real, u1.imag, u2.real, u2.imag])
-        yield from block.tolist()
+def _fork_context():
+    """The `fork` context for a writer process, or None on one core or without fork."""
+    if len(os.sched_getaffinity(0)) < 2:
+        return None
+    import multiprocessing  # here, not at import, which it would slow
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+class _SnapshotTable:
+    """`snapshots.tsv` while the run goes on: the header at once, then one block per `put`.
+
+    With a second core and `fork`, one child process receives each block
+    through a pipe into one flat buffer, formats it and appends it while
+    the parent evolves the next interval; otherwise the same formatter runs
+    in this process.  The child is forked, not spawned, so it has nothing to
+    import or unpickle; it calls no threaded code.  `finish` waits for every
+    block and raises the writer's error; `discard` stops the writer and
+    removes the file.
+    """
+
+    def __init__(self, path: str, grid) -> None:
+        self.path = path
+        # one block: (re u1, im u1, re u2, im u2) per grid point, then t
+        self.buf = np.empty(4 * grid.n + 1)
+        self.pairs = self.buf[:-1].view(np.complex128).reshape(grid.n, 2)
+        self.fh = open_table(path, ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"])
+        self.conn = self.proc = None
+        ctx = _fork_context()
+        if ctx is None:
+            self.format_block = block_formatter(grid.points)
+            return
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=self._serve, args=(child_end, grid.points), daemon=True)
+        try:
+            self.proc.start()
+        except BaseException:  # no child: nothing to wait for, no file to leave
+            self.proc = None
+            self.conn.close()
+            self.discard()
+            raise
+        finally:
+            child_end.close()
+        self.fh.close()  # the child holds its own copy
+
+    def _serve(self, conn, points) -> None:
+        """The writer process: format and append blocks until the empty end marker."""
+        format_block = block_formatter(points)  # made here, so the parent never holds it
+        try:
+            with self.fh:
+                while conn.recv_bytes_into(self.buf):
+                    self.fh.write(format_block(self.buf[-1], self.buf[:-1]))
+        except OSError as err:
+            conn.send(str(err))
+            sys.exit(1)
+
+    def put(self, state) -> None:
+        self.pairs[:, 0] = state.u1.values
+        self.pairs[:, 1] = state.u2.values
+        self.buf[-1] = state.t
+        try:
+            if self.proc is None:
+                self.fh.write(self.format_block(self.buf[-1], self.buf[:-1]))
+            else:
+                self.conn.send_bytes(self.buf)
+        except OSError as err:
+            raise self._failure(err) from err
+
+    def finish(self) -> None:
+        try:
+            if self.proc is None:
+                self.fh.close()
+                return
+            self.conn.send_bytes(b"")
+        except OSError as err:
+            raise self._failure(err) from err
+        self.proc.join()
+        if self.proc.exitcode != 0:
+            raise self._failure(None)
+        self.conn.close()
+
+    def _failure(self, err) -> OSError:
+        """The error of a failed write: the writer process's own, when it sent one."""
+        if self.proc is not None:
+            self.proc.join()
+            try:
+                err = self.conn.recv()
+            except EOFError:
+                err = f"writer process exited with code {self.proc.exitcode}"
+        return OSError(f"cannot write table {self.path!r}: {err}")
+
+    def discard(self) -> None:
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.join()
+            self.conn.close()
+        with contextlib.suppress(OSError):
+            self.fh.close()
+        with contextlib.suppress(OSError):
+            os.remove(self.path)
+
+
+def _evolve_writing_snapshots(path: str, state0, schedule, observer):
+    """evolve(state0, schedule, observer), writing each snapshot state's block to `path`.
+
+    A snapshot state is observer call 0 or the call that closes an interval
+    of `schedule.plan`.  A run that aborts or fails to write leaves no file.
+    """
+    closing = {0, *itertools.accumulate(nsteps for _, _, nsteps, _ in schedule.plan)}
+    calls = itertools.count()
+    table = _SnapshotTable(path, state0.grid)
+
+    def observe(state):
+        observer(state)
+        if next(calls) in closing:
+            table.put(state)
+
+    try:
+        snapshots = evolve(state0, schedule, observe)
+        table.finish()
+    except BaseException:
+        table.discard()
+        raise
+    return snapshots
 
 
 def _cmd_evolve(args: list[str]) -> int:
     if len(args) != 1:
         raise ConfigError("evolve takes exactly one argument: the config path")
     cfg = _load_config(args[0])
-    grid, schedule, _, _, state0 = _run_inputs(cfg, cfg.epsilon_single())
+    _, schedule, _, _, state0 = _run_inputs(cfg, cfg.epsilon_single())
     recorder = TrajectoryRecorder(with_j_norm=True)
-    snapshots = evolve(state0, schedule, recorder)
-
     out = _outdir(cfg)
+    if "snapshots" in cfg.tables:
+        path = os.path.join(out, "snapshots.tsv")
+        snapshots = _evolve_writing_snapshots(path, state0, schedule, recorder)
+    else:
+        snapshots = evolve(state0, schedule, recorder)
     if "observers" in cfg.tables:
         write_table(os.path.join(out, "observers.tsv"), recorder.header, recorder.rows)
-    if "snapshots" in cfg.tables:
-        write_table(
-            os.path.join(out, "snapshots.tsv"),
-            ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"],
-            _snapshot_rows(grid, snapshots),
-        )
     final = snapshots[-1]
     print(
         f"evolved to t = {final.t:g} in {count_steps(schedule)} steps; "
@@ -271,7 +396,7 @@ def _verify_checks():
         psi2 = gaussian_profile(grid, 0.5, 1.0, 0.0, 0.0)
         sched = make_schedule(dt=0.01, t_final=10.0, grow_after=np.inf)
         rec = TrajectoryRecorder(with_j_norm=False)
-        snaps = evolve(initial_state(grid, psi1, psi2, 0.2), sched, rec)
+        evolve(initial_state(grid, psi1, psi2, 0.2), sched, rec)
         data = rec.as_array()
         t = data[:, 0]
         total = data[:, 1] + data[:, 2]

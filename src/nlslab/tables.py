@@ -6,19 +6,34 @@ exactly.  Rows are streamed to the file as the writer supplies them, one
 fixed `%.17g` format per row and no copy of the whole table; row order is
 whatever the writer supplies (deterministic callers give deterministic
 files).
+
+`block_formatter` writes the same rows for tables made of blocks that share
+one value of the first column and repeat a fixed second column, such as
+`nlslab evolve`'s `snapshots.tsv` (t, then x over the grid): it formats the
+fixed column once and each block's first value once, so only the four
+columns that change are converted per row.  `open_table` opens such a table
+and writes its header; its owner appends the blocks.  `nlslab evolve` does
+the formatting and appending in one forked writer process while the run
+goes on, and in-process on one core.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-__all__ = ["write_table", "read_table"]
+__all__ = ["write_table", "read_table", "open_table", "block_formatter"]
 
 _NUMBER = "%.17g"
 
 
 def _fmt(x: float) -> str:
     return _NUMBER % float(x)
+
+
+def _write_error(path: str, err) -> OSError:
+    return OSError(f"cannot write table {path!r}: {err}")
 
 
 def write_table(path: str, header: list[str], rows) -> None:
@@ -29,12 +44,47 @@ def write_table(path: str, header: list[str], rows) -> None:
     the rows before it written.
     """
     row_format = "\t".join([_NUMBER] * len(header)) + "\n"
+    fh = open_table(path, header)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# " + "\t".join(header) + "\n")
+        with fh:
             fh.writelines(row_format % tuple(row) for row in rows)
     except OSError as err:
-        raise OSError(f"cannot write table {path!r}: {err}") from err
+        raise _write_error(path, err) from err
+
+
+def open_table(path: str, header: list[str]):
+    """Open a table for writing with its header line written; the caller closes it.
+
+    The header is flushed here, so a path that cannot be written fails
+    before any row is made.
+    """
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise _write_error(path, err) from err
+    try:
+        fh.write("# " + "\t".join(header) + "\n")
+        fh.flush()
+    except OSError as err:
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise _write_error(path, err) from err
+    return fh
+
+
+def block_formatter(x):
+    """format_block(t, values) -> the rows (t, x[k], values[4k:4k+4]) as write_table writes them.
+
+    The strings of x are made once here and t's once per block; one `%`
+    call over the block's 4·len(x) values fills the rest.
+    """
+    tails = ["\t" + _NUMBER % xk + ("\t" + _NUMBER) * 4 + "\n" for xk in x.tolist()]
+
+    def format_block(t: float, values) -> str:
+        ts = _NUMBER % t
+        return (ts + ts.join(tails)) % tuple(values.tolist())
+
+    return format_block
 
 
 def read_table(path: str) -> tuple[list[str], np.ndarray]:

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import tracemalloc
 import warnings
@@ -5,7 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from nlslab import build_profile, evolve, initial_state, make_grid, make_schedule, parse_config
+from nlslab import (
+    SimulationAbort,
+    TrajectoryRecorder,
+    build_profile,
+    evolve,
+    initial_state,
+    make_grid,
+    make_schedule,
+    parse_config,
+)
 import nlslab.cli
 from nlslab.cli import main
 from nlslab.tables import read_table, write_table
@@ -29,11 +39,27 @@ outputs.directory = {out}
 """
 
 
+# finite samples whose masses overflow: evolve aborts at step 0
+MASS_OVERFLOW = TINY + "data.psi1 = gaussian(1e160, 1, 0, 0)\ndata.psi2 = gaussian(1e160, 1, 0, 0)\n"
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     out = tmp_path / "out"
     path = tmp_path / name
     path.write_text(text.format(out=out))
     return str(path), str(out)
+
+
+def pin_writer(monkeypatch, writer):
+    """Choose the snapshots.tsv writer through the core count `nlslab evolve` reads."""
+    cores = {0, 1} if writer == "forked" else {0}
+    monkeypatch.setattr(nlslab.cli.os, "sched_getaffinity", lambda pid: cores)
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def writer(request, monkeypatch):
+    pin_writer(monkeypatch, request.param)
+    return request.param
 
 
 class TestDispatch:
@@ -107,9 +133,11 @@ class TestEvolveCommand:
         with open(os.path.join(out, "snapshots.tsv"), "rb") as fh:
             assert fh.read() == expected.read_bytes()
 
-    def test_snapshot_table_memory_does_not_grow_with_the_snapshot_count(self, tmp_path, capsys):
+    def test_snapshot_table_memory_does_not_grow_with_the_snapshot_count(self, tmp_path, capsys, writer):
         # beyond the snapshots evolve returns (32 n bytes each), writing
-        # snapshots.tsv holds one snapshot block at a time, however many
+        # snapshots.tsv holds one snapshot block at a time, however many;
+        # tracemalloc sees this process only, so the in-process writer is
+        # the case that measures the formatter
         n = 1024
 
         def excess_pair_fields(ratio):
@@ -134,6 +162,88 @@ class TestEvolveCommand:
         # a whole-run copy of the table's columns adds about 3 pair-fields per
         # snapshot (436 from 21 to 165 snapshots); one block at a time adds < 1
         assert dense - sparse < 8.0, (sparse, dense)
+
+    def test_forked_writer_matches_the_in_process_one(self, tmp_path, monkeypatch, capsys):
+        pid_log = tmp_path / "pids"
+        make_formatter = nlslab.cli.block_formatter
+
+        def logging_block_formatter(x):
+            format_block = make_formatter(x)
+
+            def logged(t, values):
+                with open(pid_log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return format_block(t, values)
+
+            return logged
+
+        monkeypatch.setattr(nlslab.cli, "block_formatter", logging_block_formatter)
+        tables, formatted_in = {}, {}
+        for writer in ("forked", "in-process"):
+            pin_writer(monkeypatch, writer)
+            run_dir = tmp_path / writer
+            run_dir.mkdir()
+            cfg, out = write_cfg(run_dir, TINY)
+            assert main(["evolve", cfg]) == 0
+            assert multiprocessing.active_children() == []
+            with open(os.path.join(out, "snapshots.tsv"), "rb") as fh:
+                tables[writer] = fh.read()
+            formatted_in[writer] = set(pid_log.read_text().split())
+            pid_log.unlink()
+        assert tables["forked"] == tables["in-process"]
+        here = str(os.getpid())
+        assert formatted_in["in-process"] == {here}
+        assert len(formatted_in["forked"]) == 1 and here not in formatted_in["forked"]
+
+    @pytest.mark.parametrize("abort", ["mid-run", "step-0"])
+    def test_abort_leaves_no_table_and_no_process(self, tmp_path, monkeypatch, capsys, writer, abort):
+        if abort == "mid-run":
+            # TINY's snapshots are 0, 2, 2.38, 2.83, 3.36, 4, 4.76 and 5: six
+            # blocks have gone to the writer when the run aborts past t = 4.5
+            class AbortingRecorder(TrajectoryRecorder):
+                def __call__(self, state):
+                    if state.t > 4.5:
+                        raise SimulationAbort("injected")
+                    super().__call__(state)
+
+            monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", AbortingRecorder)
+        cfg, out = write_cfg(tmp_path, TINY if abort == "mid-run" else MASS_OVERFLOW)
+        assert main(["evolve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "runtime abort" in err and ("injected at step" if abort == "mid-run" else "at step 0") in err
+        assert multiprocessing.active_children() == []
+        # the output directory is made before the run, and left empty
+        assert os.listdir(out) == []
+
+    def test_unwritable_table_fails_before_the_run(self, tmp_path, monkeypatch, capsys, writer):
+        runs = []
+        monkeypatch.setattr(nlslab.cli, "evolve", lambda *args: runs.append(args))
+        cfg, out = write_cfg(tmp_path, TINY)
+        os.makedirs(os.path.join(out, "snapshots.tsv"))
+        assert main(["evolve", cfg]) == 1
+        assert "cannot write table" in capsys.readouterr().err
+        assert runs == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_block_write_is_a_write_error(self, tmp_path, monkeypatch, capsys, writer):
+        real_open_table = nlslab.cli.open_table
+
+        def open_on_a_full_disk(path, header):
+            # the header reaches the file; every later write fails with ENOSPC
+            fh = real_open_table(path, header)
+            full = os.open("/dev/full", os.O_WRONLY)
+            os.dup2(full, fh.fileno())
+            os.close(full)
+            return fh
+
+        monkeypatch.setattr(nlslab.cli, "open_table", open_on_a_full_disk)
+        cfg, out = write_cfg(tmp_path, TINY)
+        assert main(["evolve", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write table" in err and "No space left on device" in err
+        assert multiprocessing.active_children() == []
+        assert os.listdir(out) == []
 
     def test_epsilon_list_rejected(self, tmp_path, capsys):
         cfg, _ = write_cfg(tmp_path, SWEEPABLE)

@@ -9,6 +9,8 @@ from nlslab import (
     RunConfig,
     SCENARIO_A,
     SCENARIO_B,
+    block_formatter,
+    open_table,
     parse_config,
     read_table,
     serialize_config,
@@ -208,6 +210,27 @@ class TestTables:
     def test_ragged_row_rejected_on_write(self, tmp_path, row):
         with pytest.raises(TypeError):
             write_table(str(tmp_path / "ragged.tsv"), ["a", "b"], [(0.5, 0.25), row])
+
+    def test_block_formatter_matches_write_table(self, tmp_path, rng):
+        # reference: write_table's row-at-a-time format over the full six columns
+        x = rng.standard_normal(7)
+        x[0] = -0.0
+        blocks = [(1.0 / 3.0, rng.standard_normal(28)), (np.pi * 1e300, rng.standard_normal(28))]
+        blocks[1][1][:5] = [np.inf, -np.inf, np.nan, 5e-324, -0.0]
+        path = str(tmp_path / "rows.tsv")
+        rows = [(t, x[k], *v[4 * k : 4 * k + 4]) for t, v in blocks for k in range(len(x))]
+        write_table(path, ["t", "x", "a", "b", "c", "d"], rows)
+        format_block = block_formatter(x)
+        with open(path) as fh:
+            assert fh.read() == "# t\tx\ta\tb\tc\td\n" + "".join(format_block(t, v) for t, v in blocks)
+
+    def test_open_table_writes_the_header_before_any_row(self, tmp_path):
+        path = str(tmp_path / "blocks.tsv")
+        with open_table(path, ["t", "x"]) as fh:
+            with open(path) as reader:
+                assert reader.read() == "# t\tx\n"
+        with pytest.raises(OSError, match="cannot write table"):
+            open_table(str(tmp_path), ["t"])
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
