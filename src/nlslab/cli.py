@@ -6,9 +6,9 @@ samples, mass growth, or a failed self-check in `verify`).
 
 `evolve` opens `snapshots.tsv` before the run and hands each snapshot block
 to one forked writer process, which formats and appends it while the next
-interval is evolved; on one core, or without `fork`, the same formatter
-runs in-process.  An abort or a failed write stops the writer and removes
-the file.
+interval is evolved; on one core, without `fork`, or where the cores
+cannot be counted, the same formatter runs in-process.  An abort or a
+failed write stops the writer and removes the file.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .dynamics import (
     make_schedule,
     mass,
     nonlinear_substep,
+    snapshot_calls,
     strang_step,
 )
 from .scattering import classify, m_endpoint, modified_amplitudes, rho
@@ -84,8 +85,12 @@ def _outdir(cfg: RunConfig) -> str:
 
 
 def _fork_context():
-    """The `fork` context for a writer process, or None on one core or without fork."""
-    if len(os.sched_getaffinity(0)) < 2:
+    """The `fork` context for a writer process, or None on one core or without fork.
+
+    Where the usable cores cannot be counted (no `os.sched_getaffinity`, as
+    on macOS and Windows) this counts as one core.
+    """
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return None
     import multiprocessing  # here, not at import, which it would slow
 
@@ -111,23 +116,28 @@ class _SnapshotTable:
         # one block: (re u1, im u1, re u2, im u2) per grid point, then t
         self.buf = np.empty(4 * grid.n + 1)
         self.pairs = self.buf[:-1].view(np.complex128).reshape(grid.n, 2)
-        self.fh = open_table(path, ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"])
         self.conn = self.proc = None
         ctx = _fork_context()
+        self.fh = open_table(path, ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"])
         if ctx is None:
             self.format_block = block_formatter(grid.points)
             return
-        self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=self._serve, args=(child_end, grid.points), daemon=True)
         try:
-            self.proc.start()
+            self.conn, child_end = ctx.Pipe()
+            try:
+                proc = ctx.Process(target=self._serve, args=(child_end, grid.points), daemon=True)
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on any fork of a process with threads
+                    # (numpy's OpenBLAS pool); the child only receives,
+                    # formats and writes, so no lock of those threads is used
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+                    proc.start()
+            finally:
+                child_end.close()
         except BaseException:  # no child: nothing to wait for, no file to leave
-            self.proc = None
-            self.conn.close()
             self.discard()
             raise
-        finally:
-            child_end.close()
+        self.proc = proc
         self.fh.close()  # the child holds its own copy
 
     def _serve(self, conn, points) -> None:
@@ -180,6 +190,7 @@ class _SnapshotTable:
         if self.proc is not None:
             self.proc.kill()
             self.proc.join()
+        if self.conn is not None:
             self.conn.close()
         with contextlib.suppress(OSError):
             self.fh.close()
@@ -190,10 +201,9 @@ class _SnapshotTable:
 def _evolve_writing_snapshots(path: str, state0, schedule, observer):
     """evolve(state0, schedule, observer), writing each snapshot state's block to `path`.
 
-    A snapshot state is observer call 0 or the call that closes an interval
-    of `schedule.plan`.  A run that aborts or fails to write leaves no file.
+    A run that aborts or fails to write leaves no file.
     """
-    closing = {0, *itertools.accumulate(nsteps for _, _, nsteps, _ in schedule.plan)}
+    closing = snapshot_calls(schedule)
     calls = itertools.count()
     table = _SnapshotTable(path, state0.grid)
 

@@ -12,7 +12,8 @@ one value of the first column and repeat a fixed second column, such as
 `nlslab evolve`'s `snapshots.tsv` (t, then x over the grid): it formats the
 fixed column once and each block's first value once, so only the four
 columns that change are converted per row.  `open_table` opens such a table
-and writes its header; its owner appends the blocks.  `nlslab evolve` does
+and writes its header; its owner appends the blocks.  Neither is in
+`__all__`: `nlslab evolve` is their one caller, and it does
 the formatting and appending in one forked writer process while the run
 goes on, and in-process on one core.
 """
@@ -23,7 +24,7 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["write_table", "read_table", "open_table", "block_formatter"]
+__all__ = ["write_table", "read_table"]
 
 _NUMBER = "%.17g"
 

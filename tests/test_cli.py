@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,7 +52,13 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 
 def pin_writer(monkeypatch, writer):
-    """Choose the snapshots.tsv writer through the core count `nlslab evolve` reads."""
+    """Choose the snapshots.tsv writer through the core count `nlslab evolve` reads.
+
+    "no-affinity" removes `os.sched_getaffinity`, as on macOS and Windows.
+    """
+    if writer == "no-affinity":
+        monkeypatch.delattr(nlslab.cli.os, "sched_getaffinity")
+        return
     cores = {0, 1} if writer == "forked" else {0}
     monkeypatch.setattr(nlslab.cli.os, "sched_getaffinity", lambda pid: cores)
 
@@ -179,21 +186,54 @@ class TestEvolveCommand:
 
         monkeypatch.setattr(nlslab.cli, "block_formatter", logging_block_formatter)
         tables, formatted_in = {}, {}
-        for writer in ("forked", "in-process"):
-            pin_writer(monkeypatch, writer)
-            run_dir = tmp_path / writer
-            run_dir.mkdir()
-            cfg, out = write_cfg(run_dir, TINY)
-            assert main(["evolve", cfg]) == 0
+        for writer in ("forked", "in-process", "no-affinity"):
+            with monkeypatch.context() as pinned:
+                pin_writer(pinned, writer)
+                run_dir = tmp_path / writer
+                run_dir.mkdir()
+                cfg, out = write_cfg(run_dir, TINY)
+                assert main(["evolve", cfg]) == 0
             assert multiprocessing.active_children() == []
             with open(os.path.join(out, "snapshots.tsv"), "rb") as fh:
                 tables[writer] = fh.read()
             formatted_in[writer] = set(pid_log.read_text().split())
             pid_log.unlink()
-        assert tables["forked"] == tables["in-process"]
+        assert tables["forked"] == tables["in-process"] == tables["no-affinity"]
         here = str(os.getpid())
-        assert formatted_in["in-process"] == {here}
+        assert formatted_in["in-process"] == formatted_in["no-affinity"] == {here}
         assert len(formatted_in["forked"]) == 1 and here not in formatted_in["forked"]
+
+    def test_forking_the_writer_warns_of_nothing(self, tmp_path, monkeypatch, capsys):
+        # Python 3.12+ warns on every fork of a process with threads, such
+        # as numpy's OpenBLAS pool; here every version's fork warns so
+        real_fork = os.fork
+
+        def fork_warning_of_threads():
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_warning_of_threads)
+        pin_writer(monkeypatch, "forked")
+        cfg, out = write_cfg(tmp_path, TINY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", cfg]) == 0
+        assert multiprocessing.active_children() == []
+        assert os.path.getsize(os.path.join(out, "snapshots.tsv")) > 0
+
+    def test_snapshot_blocks_are_the_schedule_times(self, tmp_path, capsys, writer):
+        cfg, out = write_cfg(tmp_path, TINY)
+        assert main(["evolve", cfg]) == 0
+        run = parse_config(TINY.format(out=out))
+        sched = make_schedule(run.dt, run.t_final, run.snapshot_ratio, run.grow_after, run.growth_cap)
+        _, rows = read_table(os.path.join(out, "snapshots.tsv"))
+        blocks = rows.reshape(-1, run.grid_n, 6)
+        assert np.all(blocks[:, :, 0] == blocks[:, :1, 0])
+        assert blocks[:, 0, 0].tolist() == sched.times.tolist()
 
     @pytest.mark.parametrize("abort", ["mid-run", "step-0"])
     def test_abort_leaves_no_table_and_no_process(self, tmp_path, monkeypatch, capsys, writer, abort):
@@ -224,6 +264,20 @@ class TestEvolveCommand:
         assert "cannot write table" in capsys.readouterr().err
         assert runs == []
         assert multiprocessing.active_children() == []
+
+    def test_writer_that_cannot_start_leaves_no_table(self, tmp_path, monkeypatch, capsys):
+        fork = multiprocessing.get_context("fork")
+
+        class Unstartable(fork.Process):
+            def start(self):
+                raise OSError("cannot fork")
+
+        monkeypatch.setattr(nlslab.cli, "_fork_context", lambda: SimpleNamespace(Pipe=fork.Pipe, Process=Unstartable))
+        cfg, out = write_cfg(tmp_path, TINY)
+        assert main(["evolve", cfg]) == 1
+        assert "cannot fork" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert os.listdir(out) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_block_write_is_a_write_error(self, tmp_path, monkeypatch, capsys, writer):

@@ -9,13 +9,12 @@ from nlslab import (
     RunConfig,
     SCENARIO_A,
     SCENARIO_B,
-    block_formatter,
-    open_table,
     parse_config,
     read_table,
     serialize_config,
     write_table,
 )
+from nlslab.tables import block_formatter, open_table
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

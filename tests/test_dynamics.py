@@ -23,6 +23,7 @@ from nlslab import (
     make_schedule,
     mass,
     nonlinear_substep,
+    snapshot_calls,
     strang_step,
     zero_field,
 )
@@ -363,6 +364,17 @@ class TestScheduleAndEvolve:
             assert np.array_equal(sa.u2.values, sb.u2.values)
         assert len(seen) == count_steps(sched) + 1
         assert set(s.t for s in fast) <= set(seen)
+
+    @pytest.mark.parametrize("t_final", [0.0, 5.0, 20.0])
+    def test_snapshot_calls_see_the_returned_snapshots(self, grid, unit_gaussian, half_gaussian, t_final):
+        sched = make_schedule(dt=0.01, t_final=t_final)
+        seen = []
+        snaps = evolve(initial_state(grid, unit_gaussian, half_gaussian, 0.2), sched, seen.append)
+        calls = snapshot_calls(sched)
+        assert len(calls) == len(snaps) and max(calls) == count_steps(sched) == len(seen) - 1
+        for s, k in zip(snaps, sorted(calls)):
+            assert s.t == seen[k].t
+            assert np.array_equal(s.stacked(), seen[k].stacked())
 
     @pytest.mark.parametrize("observed", [False, True])
     def test_abort_names_step_and_time(self, grid, unit_gaussian, half_gaussian, monkeypatch, observed):
