@@ -4,17 +4,17 @@ Exit codes: 0 success, 1 validation error (bad usage, unreadable or invalid
 configuration, a table that cannot be written), 2 runtime abort (non-finite
 samples, mass growth, or a failed self-check in `verify`).
 
-`evolve` opens `snapshots.tsv` before the run and hands each snapshot block
-to one forked writer process, which formats and appends it while the next
-interval is evolved; on one core, without `fork`, or where the cores
-cannot be counted, the same formatter runs in-process.  An abort or a
-failed write stops the writer and removes the file.
+`evolve` opens `snapshots.tsv` before the run and writes its blocks after
+it.  With a second core and `fork`, one forked child formats every other
+block while this process formats the rest and writes them all in order; on
+one core, without `fork`, or where the cores cannot be counted, this
+process formats every block.  No process runs during the run.  An abort or
+a failed write removes the file.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import sys
 import tempfile
@@ -42,7 +42,6 @@ from .dynamics import (
     make_schedule,
     mass,
     nonlinear_substep,
-    snapshot_calls,
     strang_step,
 )
 from .scattering import classify, m_endpoint, modified_amplitudes, rho
@@ -56,7 +55,7 @@ from .experiments import (
     run_sweep,
     corollary_scenarios,
 )
-from .tables import block_formatter, open_table, read_table, write_table
+from .tables import _write_error, block_formatter, open_table, read_table, write_table
 
 USAGE = """\
 usage: nlslab <command> [arguments]
@@ -85,7 +84,7 @@ def _outdir(cfg: RunConfig) -> str:
 
 
 def _fork_context():
-    """The `fork` context for a writer process, or None on one core or without fork.
+    """The `fork` context for a formatter process, or None on one core or without fork.
 
     Where the usable cores cannot be counted (no `os.sched_getaffinity`, as
     on macOS and Windows) this counts as one core.
@@ -99,126 +98,59 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-class _SnapshotTable:
-    """`snapshots.tsv` while the run goes on: the header at once, then one block per `put`.
+def _snapshot_block(format_block, state) -> str:
+    """The `snapshots.tsv` block of one snapshot: (t, x, re u1, im u1, re u2, im u2) per point."""
+    pairs = np.stack([state.u1.values, state.u2.values], axis=1)
+    return format_block(state.t, pairs.view(np.float64).ravel())
 
-    With a second core and `fork`, one child process receives each block
-    through a pipe into one flat buffer, formats it and appends it while
-    the parent evolves the next interval; otherwise the same formatter runs
-    in this process.  The child is forked, not spawned, so it has nothing to
-    import or unpickle; it calls no threaded code.  `finish` waits for every
-    block and raises the writer's error; `discard` stops the writer and
-    removes the file.
+
+def _send_blocks(conn, format_block, states) -> None:
+    """The forked formatter: send each state's block text, in order."""
+    for state in states:
+        conn.send_bytes(_snapshot_block(format_block, state).encode())
+
+
+def _write_snapshot_blocks(fh, snapshots) -> None:
+    """Write every snapshot's block to `fh`, in order, from this process.
+
+    With a second core and `fork`, one child formats the odd blocks and
+    sends their text through a one-way pipe while this process formats the
+    even ones; otherwise this process formats them all.  The child never
+    touches the file.  It is forked before any block is written, so it holds
+    no buffered part of the table, and it calls no threaded code.  On any
+    failure it is killed; a child that dies is a write error.
     """
-
-    def __init__(self, path: str, grid) -> None:
-        self.path = path
-        # one block: (re u1, im u1, re u2, im u2) per grid point, then t
-        self.buf = np.empty(4 * grid.n + 1)
-        self.pairs = self.buf[:-1].view(np.complex128).reshape(grid.n, 2)
-        self.conn = self.proc = None
-        ctx = _fork_context()
-        self.fh = open_table(path, ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"])
-        if ctx is None:
-            self.format_block = block_formatter(grid.points)
-            return
+    format_block = block_formatter(snapshots[0].grid.points)
+    ctx = _fork_context() if len(snapshots) >= 2 else None
+    if ctx is None:
+        for state in snapshots:
+            fh.write(_snapshot_block(format_block, state))
+        return
+    receiver, sender = ctx.Pipe(duplex=False)
+    with receiver:
+        with sender:  # the child holds its own copy
+            proc = ctx.Process(target=_send_blocks, args=(sender, format_block, snapshots[1::2]), daemon=True)
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on any fork of a process with threads
+                # (numpy's OpenBLAS pool); the child only formats and sends,
+                # so no lock of those threads is used
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+                proc.start()
         try:
-            self.conn, child_end = ctx.Pipe()
-            try:
-                proc = ctx.Process(target=self._serve, args=(child_end, grid.points), daemon=True)
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns on any fork of a process with threads
-                    # (numpy's OpenBLAS pool); the child only receives,
-                    # formats and writes, so no lock of those threads is used
-                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-                    proc.start()
-            finally:
-                child_end.close()
-        except BaseException:  # no child: nothing to wait for, no file to leave
-            self.discard()
+            for i, state in enumerate(snapshots):
+                if i % 2 == 0:
+                    fh.write(_snapshot_block(format_block, state))
+                    continue
+                try:
+                    fh.write(receiver.recv_bytes().decode())
+                except EOFError:
+                    proc.join()
+                    raise OSError(f"snapshot formatter process exited with code {proc.exitcode}") from None
+        except BaseException:
+            proc.kill()
+            proc.join()
             raise
-        self.proc = proc
-        self.fh.close()  # the child holds its own copy
-
-    def _serve(self, conn, points) -> None:
-        """The writer process: format and append blocks until the empty end marker."""
-        format_block = block_formatter(points)  # made here, so the parent never holds it
-        try:
-            with self.fh:
-                while conn.recv_bytes_into(self.buf):
-                    self.fh.write(format_block(self.buf[-1], self.buf[:-1]))
-        except OSError as err:
-            conn.send(str(err))
-            sys.exit(1)
-
-    def put(self, state) -> None:
-        self.pairs[:, 0] = state.u1.values
-        self.pairs[:, 1] = state.u2.values
-        self.buf[-1] = state.t
-        try:
-            if self.proc is None:
-                self.fh.write(self.format_block(self.buf[-1], self.buf[:-1]))
-            else:
-                self.conn.send_bytes(self.buf)
-        except OSError as err:
-            raise self._failure(err) from err
-
-    def finish(self) -> None:
-        try:
-            if self.proc is None:
-                self.fh.close()
-                return
-            self.conn.send_bytes(b"")
-        except OSError as err:
-            raise self._failure(err) from err
-        self.proc.join()
-        if self.proc.exitcode != 0:
-            raise self._failure(None)
-        self.conn.close()
-
-    def _failure(self, err) -> OSError:
-        """The error of a failed write: the writer process's own, when it sent one."""
-        if self.proc is not None:
-            self.proc.join()
-            try:
-                err = self.conn.recv()
-            except EOFError:
-                err = f"writer process exited with code {self.proc.exitcode}"
-        return OSError(f"cannot write table {self.path!r}: {err}")
-
-    def discard(self) -> None:
-        if self.proc is not None:
-            self.proc.kill()
-            self.proc.join()
-        if self.conn is not None:
-            self.conn.close()
-        with contextlib.suppress(OSError):
-            self.fh.close()
-        with contextlib.suppress(OSError):
-            os.remove(self.path)
-
-
-def _evolve_writing_snapshots(path: str, state0, schedule, observer):
-    """evolve(state0, schedule, observer), writing each snapshot state's block to `path`.
-
-    A run that aborts or fails to write leaves no file.
-    """
-    closing = snapshot_calls(schedule)
-    calls = itertools.count()
-    table = _SnapshotTable(path, state0.grid)
-
-    def observe(state):
-        observer(state)
-        if next(calls) in closing:
-            table.put(state)
-
-    try:
-        snapshots = evolve(state0, schedule, observe)
-        table.finish()
-    except BaseException:
-        table.discard()
-        raise
-    return snapshots
+        proc.join()
 
 
 def _cmd_evolve(args: list[str]) -> int:
@@ -228,11 +160,22 @@ def _cmd_evolve(args: list[str]) -> int:
     _, schedule, _, _, state0 = _run_inputs(cfg, cfg.epsilon_single())
     recorder = TrajectoryRecorder(with_j_norm=True)
     out = _outdir(cfg)
-    if "snapshots" in cfg.tables:
-        path = os.path.join(out, "snapshots.tsv")
-        snapshots = _evolve_writing_snapshots(path, state0, schedule, recorder)
-    else:
+    if "snapshots" not in cfg.tables:
         snapshots = evolve(state0, schedule, recorder)
+    else:
+        path = os.path.join(out, "snapshots.tsv")
+        # opened before the run, so an unwritable path fails at once
+        fh = open_table(path, ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"])
+        try:
+            with fh:
+                snapshots = evolve(state0, schedule, recorder)
+                _write_snapshot_blocks(fh, snapshots)
+        except BaseException as err:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            if isinstance(err, OSError):
+                raise _write_error(path, err) from err
+            raise
     if "observers" in cfg.tables:
         write_table(os.path.join(out, "observers.tsv"), recorder.header, recorder.rows)
     final = snapshots[-1]

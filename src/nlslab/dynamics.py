@@ -19,8 +19,7 @@ both components, two transforms per step without an observer and three
 with one.  An observer never changes the run: it reads each step's
 boundary state from a copy, and the snapshots are bitwise the same with or
 without it.  `Schedule` computes the step plan once; `evolve` runs it,
-`count_steps` sums it, `snapshot_calls` names the observer calls that see
-a snapshot, and `strang_step` is `evolve` over one step.
+`count_steps` sums it, and `strang_step` is `evolve` over one step.
 
 Multiplying each equation by its conjugate and integrating gives the mass
 ledger d/dt (M1 + M2) = -4 * integral |u1|^2 |u2|^2 dx, which `evolve`
@@ -30,7 +29,6 @@ the run, naming the step and time.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -56,7 +54,6 @@ __all__ = [
     "Schedule",
     "make_schedule",
     "count_steps",
-    "snapshot_calls",
     "nonlinear_substep",
     "strang_step",
     "evolve",
@@ -189,6 +186,8 @@ def make_schedule(
     _check_dt(dt)
     if not np.isfinite(t_final) or t_final < 0:
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final = {t_final:g} over dt = {dt:g} overflows the step count")
     reached = round(t_final / dt) * dt
     if abs(reached - t_final) > TIME_TOL * max(1.0, t_final):
         raise ValueError(
@@ -346,16 +345,6 @@ def count_steps(schedule: Schedule) -> int:
     return sum(nsteps for _, _, nsteps, _ in schedule.plan)
 
 
-def snapshot_calls(schedule: Schedule) -> frozenset[int]:
-    """The indices of the observer calls of `evolve` that see a snapshot state.
-
-    Call 0 sees state0 and call k the state after step k, so these are 0
-    and every step that closes an interval of `schedule.plan`; the states
-    they see are, in order, the snapshots `evolve` returns.
-    """
-    return frozenset(itertools.accumulate((nsteps for _, _, nsteps, _ in schedule.plan), initial=0))
-
-
 def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[SystemState]:
     """Integrate from state0 along `schedule.plan`, returning the snapshots.
 
@@ -372,8 +361,7 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
     run with an observer costs three transforms per step and returns
     bitwise the same snapshots as one without.
 
-    The observer is called once with state0 and once after every step;
-    `snapshot_calls(schedule)` names the calls that see a snapshot.
+    The observer is called once with state0 and once after every step.
     Initial data whose masses overflow abort as step 0, before the
     observer sees them.  After every substep the masses are checked; the
     run aborts if a component's mass grows by more than 1e-10 of the

@@ -13,9 +13,9 @@ one value of the first column and repeat a fixed second column, such as
 fixed column once and each block's first value once, so only the four
 columns that change are converted per row.  `open_table` opens such a table
 and writes its header; its owner appends the blocks.  Neither is in
-`__all__`: `nlslab evolve` is their one caller, and it does
-the formatting and appending in one forked writer process while the run
-goes on, and in-process on one core.
+`__all__`: `nlslab evolve` is their one caller.  It opens the table before
+the run and appends the blocks after it; on two cores one forked child
+formats every other block.
 """
 
 from __future__ import annotations

@@ -201,7 +201,8 @@ class TestEvolveCommand:
         assert tables["forked"] == tables["in-process"] == tables["no-affinity"]
         here = str(os.getpid())
         assert formatted_in["in-process"] == formatted_in["no-affinity"] == {here}
-        assert len(formatted_in["forked"]) == 1 and here not in formatted_in["forked"]
+        # the forked path formats in exactly two processes: this one and one child
+        assert len(formatted_in["forked"]) == 2 and here in formatted_in["forked"]
 
     def test_forking_the_writer_warns_of_nothing(self, tmp_path, monkeypatch, capsys):
         # Python 3.12+ warns on every fork of a process with threads, such
@@ -238,8 +239,8 @@ class TestEvolveCommand:
     @pytest.mark.parametrize("abort", ["mid-run", "step-0"])
     def test_abort_leaves_no_table_and_no_process(self, tmp_path, monkeypatch, capsys, writer, abort):
         if abort == "mid-run":
-            # TINY's snapshots are 0, 2, 2.38, 2.83, 3.36, 4, 4.76 and 5: six
-            # blocks have gone to the writer when the run aborts past t = 4.5
+            # TINY's snapshots are 0, 2, 2.38, 2.83, 3.36, 4, 4.76 and 5: the
+            # run aborts past t = 4.5, after six of them, and no block is written
             class AbortingRecorder(TrajectoryRecorder):
                 def __call__(self, state):
                     if state.t > 4.5:
@@ -253,6 +254,45 @@ class TestEvolveCommand:
         assert "runtime abort" in err and ("injected at step" if abort == "mid-run" else "at step 0") in err
         assert multiprocessing.active_children() == []
         # the output directory is made before the run, and left empty
+        assert os.listdir(out) == []
+
+    def test_no_process_runs_during_the_run(self, tmp_path, monkeypatch, capsys, writer):
+        class ProcessFreeRecorder(TrajectoryRecorder):
+            def __call__(self, state):
+                assert multiprocessing.active_children() == []
+                super().__call__(state)
+
+        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", ProcessFreeRecorder)
+        cfg, out = write_cfg(tmp_path, TINY)
+        assert main(["evolve", cfg]) == 0
+        assert multiprocessing.active_children() == []
+        assert os.path.getsize(os.path.join(out, "snapshots.tsv")) > 0
+
+    def test_formatter_failing_in_another_process_is_a_write_error(self, tmp_path, monkeypatch, capsys, writer):
+        make_formatter = nlslab.cli.block_formatter
+        here = os.getpid()
+
+        def formatter_failing_elsewhere(x):
+            format_block = make_formatter(x)
+
+            def checked(t, values):
+                if os.getpid() != here:
+                    raise RuntimeError("injected")
+                return format_block(t, values)
+
+            return checked
+
+        monkeypatch.setattr(nlslab.cli, "block_formatter", formatter_failing_elsewhere)
+        cfg, out = write_cfg(tmp_path, TINY)
+        if writer == "in-process":
+            # every block is formatted here, so nothing fails
+            assert main(["evolve", cfg]) == 0
+            assert sorted(os.listdir(out)) == ["observers.tsv", "snapshots.tsv"]
+            return
+        assert main(["evolve", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write table" in err and "exited with code 1" in err
+        assert multiprocessing.active_children() == []
         assert os.listdir(out) == []
 
     def test_unwritable_table_fails_before_the_run(self, tmp_path, monkeypatch, capsys, writer):
@@ -312,6 +352,14 @@ class TestEvolveCommand:
         cfg, out = write_cfg(tmp_path, text)
         assert main([command, cfg]) == 1
         assert f"the run would end at t = {reached}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("dt, t_final", [("1e-320", "5"), ("0.01", "1e308")])
+    def test_step_count_overflow_is_validation_error(self, tmp_path, capsys, dt, t_final):
+        text = TINY.replace("time.dt = 0.01", f"time.dt = {dt}").replace("time.t_final = 5", f"time.t_final = {t_final}")
+        cfg, out = write_cfg(tmp_path, text)
+        assert main(["evolve", cfg]) == 1
+        assert "overflows the step count" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_table_filter_respected(self, tmp_path):
