@@ -8,13 +8,13 @@ samples, mass growth, or a failed self-check in `verify`).
 it.  With a second core and `fork`, one forked child formats every other
 block while this process formats the rest and writes them all in order; on
 one core, without `fork`, or where the cores cannot be counted, this
-process formats every block.  No process runs during the run.  An abort or
-a failed write removes the file.
+process formats every block.  No process runs during the run.  Every table
+is opened through `tables.open_table`, so an abort or a failed write
+removes it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import sys
 import tempfile
@@ -55,7 +55,7 @@ from .experiments import (
     run_sweep,
     corollary_scenarios,
 )
-from .tables import _write_error, block_formatter, open_table, read_table, write_table
+from .tables import block_formatter, open_table, read_table, write_table
 
 USAGE = """\
 usage: nlslab <command> [arguments]
@@ -117,8 +117,10 @@ def _write_snapshot_blocks(fh, snapshots) -> None:
     sends their text through a one-way pipe while this process formats the
     even ones; otherwise this process formats them all.  The child never
     touches the file.  It is forked before any block is written, so it holds
-    no buffered part of the table, and it calls no threaded code.  On any
-    failure it is killed; a child that dies is a write error.
+    no buffered part of the table, and it calls no threaded code.  It ends
+    through multiprocessing's `os._exit`, so it never unwinds the caller's
+    `open_table` block and never removes the table.  On any failure it is
+    killed; a child that dies is a write error.
     """
     format_block = block_formatter(snapshots[0].grid.points)
     ctx = _fork_context() if len(snapshots) >= 2 else None
@@ -158,24 +160,16 @@ def _cmd_evolve(args: list[str]) -> int:
         raise ConfigError("evolve takes exactly one argument: the config path")
     cfg = _load_config(args[0])
     _, schedule, _, _, state0 = _run_inputs(cfg, cfg.epsilon_single())
-    recorder = TrajectoryRecorder(with_j_norm=True)
+    # the per-step recorder costs transforms; it runs only for observers.tsv
+    recorder = TrajectoryRecorder(with_j_norm=True) if "observers" in cfg.tables else None
     out = _outdir(cfg)
     if "snapshots" not in cfg.tables:
         snapshots = evolve(state0, schedule, recorder)
     else:
-        path = os.path.join(out, "snapshots.tsv")
         # opened before the run, so an unwritable path fails at once
-        fh = open_table(path, ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"])
-        try:
-            with fh:
-                snapshots = evolve(state0, schedule, recorder)
-                _write_snapshot_blocks(fh, snapshots)
-        except BaseException as err:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-            if isinstance(err, OSError):
-                raise _write_error(path, err) from err
-            raise
+        with open_table(os.path.join(out, "snapshots.tsv"), ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"]) as fh:
+            snapshots = evolve(state0, schedule, recorder)
+            _write_snapshot_blocks(fh, snapshots)
     if "observers" in cfg.tables:
         write_table(os.path.join(out, "observers.tsv"), recorder.header, recorder.rows)
     final = snapshots[-1]

@@ -178,7 +178,8 @@ def make_schedule(
 
     The time-2 snapshot anchors the sign-profile construction, so it is
     always included when t_final allows.  t_final must be a whole number of
-    dt steps; the other requested times are rounded to the dt lattice and
+    dt steps, and the ladder may hold no more rungs than the run has steps;
+    the other requested times are rounded to the dt lattice and
     deduplicated.
     """
     if not (np.isfinite(snapshot_ratio) and snapshot_ratio > 1):
@@ -188,7 +189,8 @@ def make_schedule(
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     if not math.isfinite(t_final / dt):
         raise ValueError(f"t_final = {t_final:g} over dt = {dt:g} overflows the step count")
-    reached = round(t_final / dt) * dt
+    nsteps = round(t_final / dt)
+    reached = nsteps * dt
     if abs(reached - t_final) > TIME_TOL * max(1.0, t_final):
         raise ValueError(
             f"t_final = {t_final:g} is not a whole number of dt = {dt:g} steps; "
@@ -196,6 +198,12 @@ def make_schedule(
         )
     wanted = [0.0]
     if t_final >= T_ANCHOR:
+        rungs = math.log(t_final / T_ANCHOR) / math.log(snapshot_ratio)
+        if rungs > nsteps:
+            raise ValueError(
+                f"snapshot ratio {snapshot_ratio!r} gives a ladder of {rungs:.3g} rungs, "
+                f"more than the run's {nsteps} dt steps"
+            )
         t = T_ANCHOR
         while t < t_final:
             wanted.append(t)

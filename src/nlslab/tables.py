@@ -7,20 +7,22 @@ fixed `%.17g` format per row and no copy of the whole table; row order is
 whatever the writer supplies (deterministic callers give deterministic
 files).
 
+`open_table` is how every table is opened for writing, `write_table`'s
+included: a table is left whole or not at all, so a write that fails, or a
+run that aborts inside its block, removes the file.
+
 `block_formatter` writes the same rows for tables made of blocks that share
 one value of the first column and repeat a fixed second column, such as
 `nlslab evolve`'s `snapshots.tsv` (t, then x over the grid): it formats the
 fixed column once and each block's first value once, so only the four
-columns that change are converted per row.  `open_table` opens such a table
-and writes its header; its owner appends the blocks.  Neither is in
-`__all__`: `nlslab evolve` is their one caller.  It opens the table before
-the run and appends the blocks after it; on two cores one forked child
-formats every other block.
+columns that change are converted per row.  Neither it nor `open_table` is
+in `__all__`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 
 import numpy as np
 
@@ -33,44 +35,39 @@ def _fmt(x: float) -> str:
     return _NUMBER % float(x)
 
 
-def _write_error(path: str, err) -> OSError:
-    return OSError(f"cannot write table {path!r}: {err}")
-
-
 def write_table(path: str, header: list[str], rows) -> None:
     """Write a header-plus-rows table; empty rows give a header-only file.
 
     Every row must hold exactly `len(header)` numbers: a row of any other
-    length does not fit the fixed row format and raises TypeError, leaving
-    the rows before it written.
+    length does not fit the fixed row format and raises TypeError.  A write
+    that fails for any reason leaves no file.
     """
     row_format = "\t".join([_NUMBER] * len(header)) + "\n"
-    fh = open_table(path, header)
-    try:
-        with fh:
-            fh.writelines(row_format % tuple(row) for row in rows)
-    except OSError as err:
-        raise _write_error(path, err) from err
+    with open_table(path, header) as fh:
+        fh.writelines(row_format % tuple(row) for row in rows)
 
 
+@contextlib.contextmanager
 def open_table(path: str, header: list[str]):
-    """Open a table for writing with its header line written; the caller closes it.
+    """Open a table for writing, write and flush its header line, and yield the file.
 
-    The header is flushed here, so a path that cannot be written fails
-    before any row is made.
+    A path that cannot be opened fails before the block runs.  Any
+    exception inside the block, or in the header write, removes the file
+    and is re-raised; an OSError as `cannot write table ...`.
     """
     try:
         fh = open(path, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.write("# " + "\t".join(header) + "\n")
+                fh.flush()
+                yield fh
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            raise
     except OSError as err:
-        raise _write_error(path, err) from err
-    try:
-        fh.write("# " + "\t".join(header) + "\n")
-        fh.flush()
-    except OSError as err:
-        with contextlib.suppress(OSError):
-            fh.close()
-        raise _write_error(path, err) from err
-    return fh
+        raise OSError(f"cannot write table {path!r}: {err}") from err
 
 
 def block_formatter(x):

@@ -1,3 +1,6 @@
+import contextlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -9,6 +12,33 @@ settings.register_profile("nlslab", derandomize=True, deadline=None, database=No
 settings.load_profile("nlslab")
 
 from nlslab import ComplexField, SPACE, gaussian_profile, make_grid, zero_field
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """full_disk(module): tables `module` opens through `open_table` fill the disk.
+
+    The header reaches the file; every later write fails with ENOSPC, as
+    `/dev/full` is put under the open file's descriptor (never passed as a
+    path, which a failed table's cleanup would remove).
+    """
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+
+    def fill(module):
+        real_open_table = module.open_table
+
+        @contextlib.contextmanager
+        def open_on_a_full_disk(path, header):
+            with real_open_table(path, header) as fh:
+                full = os.open("/dev/full", os.O_WRONLY)
+                os.dup2(full, fh.fileno())
+                os.close(full)
+                yield fh
+
+        monkeypatch.setattr(module, "open_table", open_on_a_full_disk)
+
+    return fill
 
 
 @pytest.fixture(scope="session")

@@ -319,19 +319,8 @@ class TestEvolveCommand:
         assert multiprocessing.active_children() == []
         assert os.listdir(out) == []
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_failed_block_write_is_a_write_error(self, tmp_path, monkeypatch, capsys, writer):
-        real_open_table = nlslab.cli.open_table
-
-        def open_on_a_full_disk(path, header):
-            # the header reaches the file; every later write fails with ENOSPC
-            fh = real_open_table(path, header)
-            full = os.open("/dev/full", os.O_WRONLY)
-            os.dup2(full, fh.fileno())
-            os.close(full)
-            return fh
-
-        monkeypatch.setattr(nlslab.cli, "open_table", open_on_a_full_disk)
+    def test_failed_block_write_is_a_write_error(self, tmp_path, capsys, writer, full_disk):
+        full_disk(nlslab.cli)
         cfg, out = write_cfg(tmp_path, TINY)
         assert main(["evolve", cfg]) == 1
         err = capsys.readouterr().err
@@ -368,6 +357,32 @@ class TestEvolveCommand:
         assert os.path.exists(os.path.join(out, "observers.tsv"))
         assert not os.path.exists(os.path.join(out, "snapshots.tsv"))
 
+    def test_snapshots_alone_run_no_recorder(self, tmp_path, monkeypatch, capsys):
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        both.mkdir()
+        alone.mkdir()
+        cfg, _ = write_cfg(both, TINY)
+        assert main(["evolve", cfg]) == 0
+
+        class UncalledRecorder(TrajectoryRecorder):
+            def __call__(self, state):
+                raise AssertionError("the recorder ran with no observers.tsv to write")
+
+        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", UncalledRecorder)
+        cfg, out = write_cfg(alone, TINY + "outputs.tables = snapshots\n")
+        assert main(["evolve", cfg]) == 0
+        assert os.listdir(out) == ["snapshots.tsv"]
+        assert (alone / "out" / "snapshots.tsv").read_bytes() == (both / "out" / "snapshots.tsv").read_bytes()
+
+    def test_snapshot_ladder_longer_than_the_run_is_validation_error(self, tmp_path, capsys):
+        # a ratio this close to 1 once spun make_schedule's ladder loop for ~2e13 rungs
+        text = TINY.replace("time.t_final = 5", "time.t_final = 20") + "time.snapshot_ratio = 1.0000000000001\n"
+        cfg, out = write_cfg(tmp_path, text)
+        assert main(["evolve", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot ratio 1.0000000000001") and "2000 dt steps" in err
+        assert not os.path.exists(out)
+
 
 class TestMProfileCommand:
     def test_writes_profile_and_classification(self, tmp_path, capsys):
@@ -379,6 +394,14 @@ class TestMProfileCommand:
         header2, rows2 = read_table(os.path.join(out, "classification.tsv"))
         assert header2 == ["xi", "m_endpoint", "tag"]
         assert set(np.unique(rows2[:, 2])) <= {-1.0, 0.0, 1.0}
+
+    def test_failed_profile_write_leaves_no_table(self, tmp_path, capsys, full_disk):
+        full_disk(nlslab.tables)
+        cfg, out = write_cfg(tmp_path, TINY)
+        assert main(["mprofile", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write table" in err and "mprofile.tsv" in err and "No space left on device" in err
+        assert os.listdir(out) == []
 
 
 class TestSweepCommand:

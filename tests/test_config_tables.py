@@ -14,6 +14,7 @@ from nlslab import (
     serialize_config,
     write_table,
 )
+import nlslab.tables
 from nlslab.tables import block_formatter, open_table
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -207,8 +208,32 @@ class TestTables:
 
     @pytest.mark.parametrize("row", [(1.0, 2.0, 3.0), (1.0,)])
     def test_ragged_row_rejected_on_write(self, tmp_path, row):
+        path = str(tmp_path / "ragged.tsv")
         with pytest.raises(TypeError):
-            write_table(str(tmp_path / "ragged.tsv"), ["a", "b"], [(0.5, 0.25), row])
+            write_table(path, ["a", "b"], [(0.5, 0.25), row])
+        # the row before the ragged one is not left behind
+        assert not os.path.exists(path)
+
+    def test_write_onto_a_full_disk_leaves_no_file(self, tmp_path, full_disk):
+        full_disk(nlslab.tables)
+        path = str(tmp_path / "full.tsv")
+        with pytest.raises(OSError, match="cannot write table .*No space left on device"):
+            write_table(path, ["a", "b"], [(0.5, 0.25)] * 3)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_header_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def open_on_a_full_disk(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            full = os.open("/dev/full", os.O_WRONLY)
+            os.dup2(full, fh.fileno())
+            os.close(full)
+            return fh
+
+        monkeypatch.setattr(nlslab.tables, "open", open_on_a_full_disk, raising=False)
+        with pytest.raises(OSError, match="cannot write table .*No space left on device"):
+            write_table(str(tmp_path / "header.tsv"), ["a"], [])
+        assert os.listdir(tmp_path) == []
 
     def test_block_formatter_matches_write_table(self, tmp_path, rng):
         # reference: write_table's row-at-a-time format over the full six columns
@@ -229,7 +254,8 @@ class TestTables:
             with open(path) as reader:
                 assert reader.read() == "# t\tx\n"
         with pytest.raises(OSError, match="cannot write table"):
-            open_table(str(tmp_path), ["t"])
+            with open_table(str(tmp_path), ["t"]):
+                pass
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

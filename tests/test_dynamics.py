@@ -307,6 +307,15 @@ class TestScheduleAndEvolve:
         with pytest.raises(ValueError, match=re.escape(f"t_final = {t_final:g} over dt = {dt:g}")):
             make_schedule(dt=dt, t_final=t_final)
 
+    def test_schedule_rejects_a_ladder_longer_than_the_run(self):
+        # log(20 / 2) / log(ratio) rungs against round(20 / 0.01) = 2000 steps
+        with pytest.raises(ValueError, match=r"snapshot ratio 1\.0000000000001 .*2\.3e\+13 rungs.* 2000 dt steps"):
+            make_schedule(dt=0.01, t_final=20.0, snapshot_ratio=1.0000000000001)
+        with pytest.raises(ValueError, match=r"2\.3e\+03 rungs"):
+            make_schedule(dt=0.01, t_final=20.0, snapshot_ratio=1.001)
+        # 1.0012 gives 1919 rungs, within the 2000 steps
+        assert make_schedule(dt=0.01, t_final=20.0, snapshot_ratio=1.0012).snapshot_steps[-1] == 2000
+
     def test_schedule_accepts_t_final_on_the_lattice_up_to_rounding(self):
         # 3730 * 0.01 and 37.3 differ by round-off only
         assert make_schedule(dt=0.01, t_final=37.3).snapshot_steps[-1] == 3730
