@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,13 +41,13 @@ from .spectral import (
     SPACE,
     ComplexField,
     Grid,
+    RegimeWarning,
     SimulationAbort,
     _abs2,
     _field_pair,
     _free_multiplier,
     _j_norms,
     _squared_norms,
-    sup_norm,
 )
 
 __all__ = [
@@ -310,14 +311,25 @@ def mass(f: ComplexField) -> float:
 
 def dissipation_rate(state: SystemState) -> float:
     """Instantaneous total-mass loss rate 4 * sum |u1|^2 |u2|^2 dx."""
-    return float(4.0 * np.sum(_abs2(state.u1.values) * _abs2(state.u2.values)) * state.grid.dx)
+    return _dissipation_rate(_abs2(state.stacked()), state.grid.dx)
+
+
+def _dissipation_rate(squared: np.ndarray, dx: float) -> float:
+    """`dissipation_rate` from the (2, n) squared moduli of the pair."""
+    return float(4.0 * np.sum(squared[0] * squared[1]) * dx)
 
 
 class TrajectoryRecorder:
     """Per-step observer collecting (t, mass1, mass2, sup, J-norms, rate).
 
-    The J-norm columns cost one extra stacked transform pair per step;
-    disable them for long runs that only need the mass ledger.
+    Each call stacks the pair once and reads every column off that copy:
+    both masses from one norm call, sup from one pass over the moduli and
+    the rate from the squared moduli.  The values are bitwise those of
+    `mass`, `sup_norm`, `j_norm` and `dissipation_rate`.  The J-norm
+    columns cost one extra stacked transform pair per step; disable them
+    for long runs that only need the mass ledger.  A column that overflows
+    float64 is recorded as inf, and the first time each column does so a
+    `RegimeWarning` names it and the time.
     """
 
     def __init__(self, with_j_norm: bool = True):
@@ -327,18 +339,30 @@ class TrajectoryRecorder:
             self.header += ["j_norm1", "j_norm2"]
         self.header.append("dissipation_rate")
         self.rows: list[tuple[float, ...]] = []
+        self._overflowed: set[str] = set()
 
     def __call__(self, state: SystemState) -> None:
-        row = [
-            state.t,
-            mass(state.u1),
-            mass(state.u2),
-            max(sup_norm(state.u1), sup_norm(state.u2)),
-        ]
-        if self.with_j_norm:
-            row += _j_norms(state.grid, state.stacked(), state.t).tolist()
-        row.append(dissipation_rate(state))
+        g = state.grid
+        u = state.stacked()
+        with np.errstate(over="ignore"):
+            row = [state.t, *_squared_norms(u, g.dx).tolist(), float(np.abs(u).max())]
+            if self.with_j_norm:
+                row += _j_norms(g, u, state.t).tolist()
+            row.append(_dissipation_rate(_abs2(u), g.dx))
+        if not all(map(math.isfinite, row)):
+            self._warn_overflow(state.t, row)
         self.rows.append(tuple(row))
+
+    def _warn_overflow(self, t: float, row: list[float]) -> None:
+        new = [name for name, v in zip(self.header, row) if not math.isfinite(v) and name not in self._overflowed]
+        if new:
+            self._overflowed.update(new)
+            warnings.warn(
+                f"recorder column{'s' if len(new) > 1 else ''} {', '.join(new)} overflowed "
+                f"float64 at t = {t}; recorded as inf",
+                RegimeWarning,
+                stacklevel=3,
+            )
 
     def as_array(self) -> np.ndarray:
         """The rows as a (steps, columns) array; (0, columns) before any call."""
@@ -394,7 +418,8 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
     step = 0
     for t_a, t_b, nsteps, h in schedule.plan:
         half = _free_multiplier(g, 0.5 * h)
-        full = half * half
+        if nsteps > 1:
+            full = half * half
         spec *= half
         for s in range(nsteps):
             step += 1

@@ -11,10 +11,12 @@ diagonal frequency multiplier exp(+i t xi^2 / 2), so alpha_j is computed in
 closed form as that multiplier applied to the FFT of u_j, followed by the
 centering phase and scale it shares with `forward_ft`
 (`spectral._back_propagated_ft`): no inverse transform and no propagated
-space-side field.  Both components share one stacked (2, n) FFT
-call, so a snapshot's amplitudes cost one transform call.  The integrand
-rho costs one more, a stacked (4, n) FFT of the pair and its two
-nonlinearities, and no multiplier.
+space-side field.  The integrand rho needs the transforms of the pair and
+of its two nonlinearities, and no multiplier.  Both come from one stacked
+FFT call per snapshot (`_spectra`): of u1 and u2 alone for the amplitudes,
+and of u1, u2, N1 and N2 where rho is wanted too, whose first two rows then
+give the amplitudes.  Rows of a stacked FFT are bitwise the rows
+transformed alone, so the amplitudes do not depend on which call made them.
 
 The central object is the per-frequency sign profile
 
@@ -46,9 +48,10 @@ pass: each snapshot's rho row is folded into running reductions and
 dropped (`_RhoFold`): the trapezoid, the per-snapshot max |rho| and the
 last row for the tail fit.  `integrate_rho_window` and
 `tail_bound_constants` use that fold directly.  The anchored route's one
-snapshot loop is `_AnchoredPass`: it computes each snapshot's amplitudes
-once, and from the anchor on its rho once, and keeps the amplitudes at the
-anchor and at T, for the lemma defect and the endpoint route.
+snapshot loop is `_AnchoredPass`: it transforms each snapshot once, reads
+its amplitudes and, from the anchor on, its rho off that one transform,
+and keeps the amplitudes at the anchor and at T, for the lemma defect and
+the endpoint route.
 `m_integral` drives it from the anchor on and `run_case` over every
 snapshot, reading each snapshot's monitors off the amplitudes it returns.
 So the analysis holds O(n) memory whatever the snapshot count, and the
@@ -150,15 +153,51 @@ class MProfile:
             object.__setattr__(self, "tail_estimate", tail)
 
 
+def _spectra(state: SystemState, with_nonlinearity: bool = False) -> np.ndarray:
+    """Unnormalized FFT rows of the state, in one stacked call.
+
+    The rows are u1 and u2, followed with_nonlinearity by N1 = |u2|^2 u1
+    and N2 = |u1|^2 u2; `_amplitudes` reads the first two and `_rho_row` all
+    four.  A non-finite nonlinearity aborts, naming the state's time.
+    """
+    rows = np.empty((4 if with_nonlinearity else 2, state.grid.n), dtype=np.complex128)
+    rows[0] = state.u1.values
+    rows[1] = state.u2.values
+    if with_nonlinearity:
+        np.multiply(rows[:2], _abs2(rows[1::-1]), out=rows[2:])
+        if not np.all(np.isfinite(rows[2:])):
+            raise SimulationAbort(f"non-finite nonlinearity in rho at t = {state.t}")
+    return np.fft.fft(rows, out=rows)
+
+
+def _amplitudes(grid: Grid, t: float, spec: np.ndarray) -> SpectralSnapshot:
+    """The modified amplitudes at time t from the (2, n) FFT rows of u1 and u2, left unchanged."""
+    alpha = _back_propagated_ft(grid, spec, t)
+    try:
+        return SpectralSnapshot(t, *_field_pair(grid, alpha, FREQUENCY))
+    except SimulationAbort as err:
+        raise SimulationAbort(f"non-finite modified amplitudes at t = {t}") from err
+
+
+def _rho_row(grid: Grid, t: float, spec: np.ndarray) -> np.ndarray:
+    """rho at time t from the (4, n) FFT rows of u1, u2, N1 and N2 (see `rho`)."""
+    f1, f2, n1, n2 = spec
+    vals = np.fft.fftshift((np.conj(f2) * n2 - np.conj(f1) * n1).real)
+    vals *= grid.dx**2 / np.pi
+    if not np.all(np.isfinite(vals)):
+        raise SimulationAbort(f"non-finite rho at t = {t}")
+    return vals
+
+
 def modified_amplitudes(state: SystemState) -> SpectralSnapshot:
     """Both components' modified amplitudes alpha_j(t) = FT[U(-t) u_j(t)].
 
     One stacked FFT call for the pair, then the closed-form back-propagation
     multiplier; components are transformed independently, so swapping u1
-    and u2 swaps alpha1 and alpha2 bitwise.
+    and u2 swaps alpha1 and alpha2 bitwise.  Non-finite amplitudes abort,
+    naming the state's time.
     """
-    alpha = _back_propagated_ft(state.grid, np.fft.fft(state.stacked()), state.t)
-    return SpectralSnapshot(state.t, *_field_pair(state.grid, alpha, FREQUENCY))
+    return _amplitudes(state.grid, state.t, _spectra(state))
 
 
 def rho(state: SystemState) -> np.ndarray:
@@ -176,21 +215,12 @@ def rho(state: SystemState) -> np.ndarray:
         rho = (dx^2/pi) fftshift Re[ conj(F u2) F N2 - conj(F u1) F N1 ],
 
     N1 = |u2|^2 u1 and N2 = |u1|^2 u2.  Swapping the components negates the
-    float64 row bitwise.  A non-finite nonlinearity or sample aborts the run.
+    float64 row bitwise.  A non-finite nonlinearity or sample aborts the
+    run, naming the state's time.
     """
-    t = state.t
-    if t <= 0:
+    if state.t <= 0:
         raise ValueError("rho requires t > 0 (its resonant model is defined for t > 0 only)")
-    rows = np.tile(state.stacked(), (2, 1))
-    rows[2:] *= _abs2(rows[1::-1])  # rows u1, u2, |u2|^2 u1 and |u1|^2 u2
-    if not np.all(np.isfinite(rows[2:])):
-        raise SimulationAbort(f"non-finite nonlinearity in rho at t = {t}")
-    f1, f2, n1, n2 = np.fft.fft(rows, out=rows)
-    vals = np.fft.fftshift((np.conj(f2) * n2 - np.conj(f1) * n1).real)
-    vals *= state.grid.dx**2 / np.pi
-    if not np.all(np.isfinite(vals)):
-        raise SimulationAbort(f"non-finite rho at t = {t}")
-    return vals
+    return _rho_row(state.grid, state.t, _spectra(state, with_nonlinearity=True))
 
 
 def _endpoint_difference(snap: SpectralSnapshot) -> np.ndarray:
@@ -259,14 +289,15 @@ class _AnchoredPass:
 
     Built from the ladder's times, ascending and with at least 3 snapshots
     from the t = 2 anchor on; it rejects any other ladder before anything is
-    computed.  `add` takes the snapshots in order.  It computes each one's
-    modified amplitudes once and returns them, folds its rho from the
-    anchor on into a `_RhoFold`, and keeps the amplitudes at the anchor and
-    at the last snapshot; `profile` is the route's `MProfile`.  Its rho,
-    defined through `rho`'s R_j, comes from the state alone, as (dx^2/pi)
-    fftshift Re[ conj(F u2) F N2 - conj(F u1) F N1 ].  The snapshots' times
-    must be the ones the pass was built from; a caller may start at
-    `first`, the anchor's index, as `m_integral` does.
+    computed.  `add` takes the snapshots in order.  Each one costs one
+    stacked FFT call (`_spectra`): of u1 and u2 before the anchor, and of
+    u1, u2, N1 and N2 from it on.  `add` reads the modified amplitudes off
+    the first two rows and returns them, folds rho, read off all four rows
+    as in `rho`, into a `_RhoFold`, and keeps the amplitudes at the anchor
+    and at the last snapshot; `profile` is the route's `MProfile`.  Its rho
+    and amplitudes are bitwise those of `rho` and `modified_amplitudes`.
+    The snapshots' times must be the ones the pass was built from; a caller
+    may start at `first`, the anchor's index, as `m_integral` does.
     """
 
     def __init__(self, times) -> None:
@@ -282,11 +313,13 @@ class _AnchoredPass:
         self.last: SpectralSnapshot | None = None
 
     def add(self, state: SystemState) -> SpectralSnapshot:
-        snap = modified_amplitudes(state)
-        if state.t >= self.t_anchor:
+        anchored = state.t >= self.t_anchor
+        spec = _spectra(state, with_nonlinearity=anchored)
+        snap = _amplitudes(state.grid, state.t, spec[:2])
+        if anchored:
             if self.anchor is None:
                 self.anchor = snap
-            self.fold.add(state.t, rho(state))
+            self.fold.add(state.t, _rho_row(state.grid, state.t, spec))
         self.last = snap
         return snap
 
@@ -302,12 +335,12 @@ def m_integral(states: list[SystemState]) -> MProfile:
     Expects system snapshots in ascending time, one of them at the anchor
     t = 2 and the last at the truncation time T; earlier snapshots are
     skipped.  One pass from the anchor on (`_AnchoredPass`, the pass
-    `run_case` makes) computes each snapshot's amplitudes and rho once and
-    folds them into running reductions, so no (k, n) stack of rows is
-    held.  The neglected tail beyond T is estimated per frequency by
-    extrapolating |rho| ~ t^-p, with p fitted to the per-snapshot max |rho|
-    on the last decade of snapshot times, and attached to the returned
-    profile.
+    `run_case` makes) computes each snapshot's amplitudes and rho from one
+    transform call and folds them into running reductions, so no (k, n)
+    stack of rows is held.  The neglected tail beyond T is estimated per
+    frequency by extrapolating |rho| ~ t^-p, with p fitted to the
+    per-snapshot max |rho| on the last decade of snapshot times, and
+    attached to the returned profile.
     """
     run = _AnchoredPass([s.t for s in states])
     for state in states[run.first:]:

@@ -32,6 +32,7 @@ __all__ = [
     "Grid",
     "ComplexField",
     "SimulationAbort",
+    "RegimeWarning",
     "make_grid",
     "forward_ft",
     "inverse_ft",
@@ -98,6 +99,13 @@ _keep_heap_resident()
 
 class SimulationAbort(RuntimeError):
     """A run produced non-finite samples or violated a monotonicity guard."""
+
+
+class RegimeWarning(RuntimeWarning):
+    """A run left the regime in which an output it reports can be trusted.
+
+    The run goes on; the warning names the time and the quantity affected.
+    """
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -265,8 +273,18 @@ def free_propagate(f: ComplexField, t: float) -> ComplexField:
 
 
 def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
-    """The multiplier exp(-i*t*xi^2/2) of U(t), in FFT order."""
-    return np.exp(-0.5j * t * grid._frequencies_fft_order**2)
+    """The multiplier exp(-i*t*xi^2/2) of U(t), in FFT order.
+
+    In FFT order the frequency at index n - k is minus the one at index k,
+    exactly, so xi^2 and the multiplier are symmetric: the exp is taken on
+    indices 0 .. n/2 only and mirrored into n/2+1 .. n-1.  The result is
+    bitwise the full-length exp, at about half its cost.
+    """
+    half = grid.n // 2
+    out = np.empty(grid.n, dtype=np.complex128)
+    np.exp(-0.5j * t * grid._frequencies_fft_order[: half + 1] ** 2, out=out[: half + 1])
+    out[half + 1:] = out[half - 1:0:-1]
+    return out
 
 
 def _abs2(values: np.ndarray) -> np.ndarray:

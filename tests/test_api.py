@@ -23,3 +23,12 @@ def test_package_api_is_exactly_the_union_of_the_module_lists():
     listed = [name for module in MODULES for name in getattr(nlslab, module).__all__]
     assert len(listed) == len(set(listed))  # no name is exported by two modules
     assert public == set(listed)
+
+
+def test_regime_warning_is_one_public_runtime_warning():
+    # the one class every out-of-regime warning shares, so a caller can
+    # filter or escalate them all at once
+    assert "RegimeWarning" in nlslab.spectral.__all__
+    assert nlslab.RegimeWarning is nlslab.spectral.RegimeWarning
+    assert issubclass(nlslab.RegimeWarning, RuntimeWarning)
+    assert not issubclass(nlslab.RegimeWarning, nlslab.SimulationAbort)

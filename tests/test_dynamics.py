@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from nlslab import (
     ComplexField,
+    RegimeWarning,
     SPACE,
     SimulationAbort,
     SystemState,
@@ -25,6 +26,7 @@ from nlslab import (
     mass,
     nonlinear_substep,
     strang_step,
+    sup_norm,
     zero_field,
 )
 from nlslab import dynamics
@@ -495,6 +497,52 @@ class TestMassAndDissipation:
         for i, s in enumerate(states):
             assert j1[i] == pytest.approx(j_norm(s.u1, s.t), rel=1e-13)
             assert j2[i] == pytest.approx(j_norm(s.u2, s.t), rel=1e-13)
+
+    @pytest.mark.parametrize("n, length", [(512, 64.0), (4096, 256.0)])
+    @pytest.mark.parametrize("with_j_norm", [True, False])
+    def test_recorder_rows_are_the_per_field_values_bitwise(self, n, length, with_j_norm):
+        g = make_grid(n, length)
+        psi1 = gaussian_profile(g, 1.0, 1.0, 0.0, 2.0)
+        psi2 = gaussian_profile(g, 0.5, 1.5, 1.0, -1.0)
+        rec = TrajectoryRecorder(with_j_norm=with_j_norm)
+        seen = []
+
+        def observe(state):
+            seen.append(state)
+            rec(state)
+
+        sched = make_schedule(dt=0.01, t_final=2.5, snapshot_ratio=1.1)
+        evolve(initial_state(g, psi1, psi2, 0.3), sched, observe)
+        assert len(rec.rows) == len(seen) == count_steps(sched) + 1
+        for row, s in zip(rec.rows, seen):
+            expected = [s.t, mass(s.u1), mass(s.u2), max(sup_norm(s.u1), sup_norm(s.u2))]
+            if with_j_norm:
+                expected += [j_norm(s.u1, s.t), j_norm(s.u2, s.t)]
+            expected.append(dissipation_rate(s))
+            # as integers, so the comparison is bitwise
+            assert np.array_equal(np.array(row).view(np.int64), np.array(expected).view(np.int64))
+
+    def test_rate_overflow_is_a_regime_warning(self):
+        # at eps = 1e100 the initial product |u1|^2 |u2|^2 overflows float64
+        # while the run itself stays finite (the first step all but empties
+        # the overlap); the recorder says so once per column, naming it and
+        # the time, in place of numpy's bare overflow warning
+        g = make_grid(64, 32.0)
+        state0 = initial_state(g, gaussian_profile(g, 1.0, 1.0), gaussian_profile(g, 0.5, 1.0), 1e100)
+        rec = TrajectoryRecorder(with_j_norm=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve(state0, make_schedule(dt=0.01, t_final=0.05), rec)
+            rec(state0)  # the same column again: no second warning
+        assert [w.category for w in caught] == [RegimeWarning]
+        assert str(caught[0].message) == (
+            "recorder column dissipation_rate overflowed float64 at t = 0.0; recorded as inf"
+        )
+        data = rec.as_array()
+        assert data.shape == (7, 7)
+        rate = rec.column("dissipation_rate")
+        assert np.isposinf(rate[0]) and np.isposinf(rate[-1]) and np.all(np.isfinite(rate[1:-1]))
+        assert np.all(np.isfinite(data[:, :-1]))
 
     def test_empty_recorder_has_header_wide_columns(self):
         rec = TrajectoryRecorder(with_j_norm=True)

@@ -127,66 +127,87 @@ class TestClosedForm:
             with pytest.raises(SimulationAbort, match="non-finite rho at t = 37.3"):
                 rho(SystemState(s.t, big1, big2))
 
-    def test_run_case_computes_amplitudes_once_per_snapshot(self, monkeypatch):
-        amplitude_calls = []
-        rho_calls = []
+    def test_analysis_aborts_name_their_time(self):
+        # finite samples near 1e307, whose FFT overflows at n = 64: an
+        # abort from the amplitudes or the shared transform names its t
+        g = make_grid(64, 32.0)
+        big = ComplexField(g, np.full(g.n, 1e307 + 0j), SPACE)
+        small = ComplexField(g, np.full(g.n, 1e-3 + 0j), SPACE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationAbort, match=r"^non-finite modified amplitudes at t = 5\.5$"):
+                modified_amplitudes(SystemState(5.5, small, big))
+            run = scattering._AnchoredPass([0.0, 2.0, 3.0, 4.0])
+            with pytest.raises(SimulationAbort, match=r"^non-finite modified amplitudes at t = 0\.0$"):
+                run.add(SystemState(0.0, big, small))
+            with pytest.raises(SimulationAbort, match=r"^non-finite nonlinearity in rho at t = 3\.0$"):
+                run.add(SystemState(3.0, big, big))
+
+    def test_run_case_transforms_each_snapshot_once(self, monkeypatch):
+        transforms = _TransformLog(monkeypatch)
         propagate_calls = []
-        real_amplitudes = scattering.modified_amplitudes
-        real_rho = scattering.rho
         real_propagate = spectral.free_propagate
-
-        def counting_amplitudes(state):
-            amplitude_calls.append(state.t)
-            return real_amplitudes(state)
-
-        def counting_rho(state):
-            rho_calls.append(state.t)
-            return real_rho(state)
+        real_evolve = experiments.evolve
 
         def counting_propagate(f, t):
             propagate_calls.append(t)
             return real_propagate(f, t)
 
-        # every module that could call them by an imported name
+        def evolve_then_log(*args, **kwargs):
+            states = real_evolve(*args, **kwargs)
+            transforms.logging = True  # the analysis starts when evolve returns
+            return states
+
+        # every module that could call it by an imported name
         for module in (spectral, dynamics, scattering, experiments):
-            for name, counting in (
-                ("modified_amplitudes", counting_amplitudes),
-                ("rho", counting_rho),
-                ("free_propagate", counting_propagate),
-            ):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting)
+            if hasattr(module, "free_propagate"):
+                monkeypatch.setattr(module, "free_propagate", counting_propagate)
+        monkeypatch.setattr(experiments, "evolve", evolve_then_log)
         cfg = replace(SCENARIO_B, grid_n=512, grid_length=64.0, t_final=20.0)
         case = experiments.run_case(cfg)
-        assert len(amplitude_calls) == len(case.states)
-        assert amplitude_calls == [s.t for s in case.states]
-        # and rho once per snapshot from the anchor on
-        assert rho_calls == [s.t for s in case.states if s.t >= 2.0]
+        # one stacked FFT call per snapshot, in order: of u1 and u2 before
+        # the anchor, and of u1, u2 and both nonlinearities from it on
+        assert [s.t for s in case.states][:2] == [0.0, 2.0]
+        transforms.assert_one_call_per_state(case.states, anchor=1)
         assert propagate_calls == []
 
-    def test_m_integral_computes_amplitudes_once_from_the_anchor_on(self, coupled_run, monkeypatch):
+    def test_m_integral_transforms_once_from_the_anchor_on(self, coupled_run, monkeypatch):
         _, _, snaps = coupled_run
-        amplitude_calls = []
-        rho_calls = []
-        real_amplitudes = scattering.modified_amplitudes
-        real_rho = scattering.rho
-
-        def counting_amplitudes(state):
-            amplitude_calls.append(state.t)
-            return real_amplitudes(state)
-
-        def counting_rho(state):
-            rho_calls.append(state.t)
-            return real_rho(state)
-
-        monkeypatch.setattr(scattering, "modified_amplitudes", counting_amplitudes)
-        monkeypatch.setattr(scattering, "rho", counting_rho)
+        transforms = _TransformLog(monkeypatch)
+        transforms.logging = True
         assert snaps[0].t == 0.0 and snaps[1].t == 2.0
         m_integral(snaps)
         # once per snapshot from the anchor on, and never for t = 0 before it
-        anchored = [s.t for s in snaps[1:]]
-        assert amplitude_calls == anchored
-        assert rho_calls == anchored
+        transforms.assert_one_call_per_state(snaps[1:], anchor=0)
+
+
+class _TransformLog:
+    """Logs every np.fft.fft and np.fft.ifft call made while `logging` is set.
+
+    Each entry is the function's name, the number of rows transformed and a
+    copy of the input's first two rows, taken before the call.
+    """
+
+    def __init__(self, monkeypatch):
+        self.logging = False
+        self.calls = []
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, self._logged(name, getattr(np.fft, name)))
+
+    def _logged(self, name, real):
+        def logged(a, *args, **kwargs):
+            if self.logging:
+                rows = np.atleast_2d(a)
+                self.calls.append((name, rows.shape[0], rows[:2].copy()))
+            return real(a, *args, **kwargs)
+
+        return logged
+
+    def assert_one_call_per_state(self, states, anchor):
+        """One forward call per state, in order, on (u1, u2), with 4 rows from index `anchor` on."""
+        expected = [("fft", 2 if i < anchor else 4) for i in range(len(states))]
+        assert [(name, nrows) for name, nrows, _ in self.calls] == expected
+        for (_, _, pair), s in zip(self.calls, states):
+            assert np.array_equal(pair, s.stacked())
 
 
 def _rho_extended_reference(state):

@@ -21,7 +21,7 @@ from nlslab import (
     sup_norm,
     zero_field,
 )
-from nlslab.spectral import _MALLOC_ENV, _abs2, _is_glibc, _squared_norms
+from nlslab.spectral import _MALLOC_ENV, _abs2, _free_multiplier, _is_glibc, _squared_norms
 from conftest import dft_quadrature_oracle, idft_quadrature_oracle
 
 PI4 = np.pi**0.25  # l2 norm of exp(-x^2/2)
@@ -195,6 +195,15 @@ class TestFreePropagate:
         g = ComplexField(grid, np.zeros(grid.n, complex), FREQUENCY)
         with pytest.raises(ValueError):
             free_propagate(g, 1.0)
+
+    @pytest.mark.parametrize("n", [16, 4096, 16384])
+    @pytest.mark.parametrize("t", [0.0, -3.7, 0.005, 400.0])
+    def test_half_length_multiplier_is_the_full_exp_bitwise(self, n, t):
+        # the multiplier is taken on indices 0 .. n/2 and mirrored; compared
+        # as float64 pairs, so the sign of every zero counts too
+        g = make_grid(n, 0.25 * n)
+        full = np.exp(-0.5j * t * g._frequencies_fft_order**2)
+        assert np.array_equal(_free_multiplier(g, t).view(np.float64), full.view(np.float64))
 
 
 class TestNorms:
