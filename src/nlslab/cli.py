@@ -17,45 +17,16 @@ from __future__ import annotations
 
 import os
 import sys
-import tempfile
 import warnings
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 
 import numpy as np
 
-from .config import SCENARIO_A, ConfigError, RunConfig, parse_config, serialize_config
-from .spectral import (
-    ComplexField,
-    SPACE,
-    SimulationAbort,
-    forward_ft,
-    free_propagate,
-    gaussian_profile,
-    inverse_ft,
-    l2_norm,
-    make_grid,
-)
-from .dynamics import (
-    TrajectoryRecorder,
-    count_steps,
-    evolve,
-    make_schedule,
-    mass,
-    nonlinear_substep,
-    strang_step,
-)
-from .scattering import classify, m_endpoint, modified_amplitudes, rho
-from .experiments import (
-    OrderFit,
-    SweepRecord,
-    _run_inputs,
-    fit_order,
-    initial_state,
-    run_case,
-    run_sweep,
-    corollary_scenarios,
-)
-from .tables import block_formatter, open_table, read_table, write_table
+from .config import ConfigError, RunConfig, parse_config
+from .spectral import SimulationAbort
+from .dynamics import TrajectoryRecorder, count_steps, evolve, mass, nonlinear_substep  # last: read by perfbench tests
+from .experiments import OrderFit, SweepRecord, _run_inputs, corollary_scenarios, run_case, run_sweep
+from .tables import block_formatter, open_table, write_table
 
 USAGE = """\
 usage: nlslab <command> [arguments]
@@ -265,177 +236,13 @@ def _cmd_scenario(args: list[str]) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify: self-contained checks on small grids, no files, seconds not minutes.
-
-
-def _verify_checks():
-    rng = np.random.default_rng(20240817)
-    grid = make_grid(512, 64.0)
-
-    def random_field():
-        vals = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        return ComplexField(grid, vals, SPACE)
-
-    def check_transform_round_trip():
-        f = random_field()
-        back = inverse_ft(forward_ft(f))
-        err = np.max(np.abs(back.values - f.values))
-        ok = err < 1e-12 and abs(l2_norm(forward_ft(f)) - l2_norm(f)) < 1e-12 * l2_norm(f)
-        return ok, f"round-trip error {err:.2e}"
-
-    def check_transform_gaussian():
-        f = gaussian_profile(grid, 1.0, 1.0, 0.0, 0.0)
-        fhat = forward_ft(f)
-        expected = np.exp(-0.5 * grid.frequencies**2)
-        err = np.max(np.abs(fhat.values - expected))
-        return err < 1e-10, f"gaussian transform error {err:.2e}"
-
-    def check_transform_shift():
-        f = gaussian_profile(grid, 1.0, 1.0, 0.0, 0.0)
-        shifted = gaussian_profile(grid, 1.0, 1.0, 3.0, 0.0)
-        lhs = forward_ft(shifted).values
-        rhs = np.exp(-3j * grid.frequencies) * forward_ft(f).values
-        err = np.max(np.abs(lhs - rhs))
-        return err < 1e-10, f"shift identity error {err:.2e}"
-
-    def check_propagator():
-        f = random_field()
-        norm0 = l2_norm(f)
-        once = free_propagate(free_propagate(f, 0.7), 1.3)
-        direct = free_propagate(f, 2.0)
-        group = np.max(np.abs(once.values - direct.values))
-        norm_err = abs(l2_norm(direct) - norm0)
-        ok = group < 1e-11 * norm0 and norm_err < 1e-12 * norm0
-        return ok, f"group error {group:.2e}, norm drift {norm_err:.2e}"
-
-    def check_substep():
-        u1, u2 = nonlinear_substep(1.0 + 0j, 1.0 + 0j, 0.5)
-        ok1 = abs(abs(u1) ** 2 - 0.5) < 1e-14 and abs(abs(u2) ** 2 - 0.5) < 1e-14
-        u1b, u2b = nonlinear_substep(np.sqrt(2.0) + 0j, 1.0 + 0j, 50.0)
-        ok2 = abs(abs(u1b) ** 2 - 1.0) < 1e-12 and abs(u2b) ** 2 < 1e-12
-        v1 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        v2 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        w1, w2 = nonlinear_substep(v1, v2, 0.3)
-        cons = np.max(np.abs((np.abs(w1) ** 2 - np.abs(w2) ** 2) - (np.abs(v1) ** 2 - np.abs(v2) ** 2)))
-        return ok1 and ok2 and cons < 1e-12, f"difference drift {cons:.2e}"
-
-    def check_strang_decoupled():
-        psi1 = gaussian_profile(grid, 1.0, 1.0, 0.0, 0.0)
-        state = initial_state(grid, psi1, ComplexField(grid, np.zeros(grid.n, complex), SPACE), 0.1)
-        for _ in range(20):
-            state = strang_step(state, 0.01)
-        exact = free_propagate(ComplexField(grid, 0.1 * psi1.values, SPACE), 0.2)
-        err = np.max(np.abs(state.u1.values - exact.values))
-        zero2 = np.max(np.abs(state.u2.values))
-        return err < 1e-10 and zero2 == 0.0, f"free-case error {err:.2e}"
-
-    def check_strang_symmetric_bitwise():
-        psi = gaussian_profile(grid, 1.0, 1.5, 0.5, 0.3)
-        state = initial_state(grid, psi, psi, 0.2)
-        for _ in range(10):
-            state = strang_step(state, 0.01)
-        same = np.array_equal(state.u1.values, state.u2.values)
-        return same, "components stayed bitwise equal" if same else "components diverged"
-
-    def check_mass_ledger():
-        psi1 = gaussian_profile(grid, 1.0, 1.0, 0.0, 0.0)
-        psi2 = gaussian_profile(grid, 0.5, 1.0, 0.0, 0.0)
-        sched = make_schedule(dt=0.01, t_final=10.0, grow_after=np.inf)
-        rec = TrajectoryRecorder(with_j_norm=False)
-        evolve(initial_state(grid, psi1, psi2, 0.2), sched, rec)
-        data = rec.as_array()
-        t = data[:, 0]
-        total = data[:, 1] + data[:, 2]
-        diss = data[:, rec.header.index("dissipation_rate")]
-        ledger = total[-1] + np.trapezoid(diss, t) - total[0]
-        rel = abs(ledger) / total[0]
-        return rel < 1e-4, f"ledger closure {rel:.2e} (want < 1e-4)"
-
-    def check_rho_identity():
-        psi1 = gaussian_profile(grid, 1.0, 1.0, 0.0, 0.0)
-        psi2 = gaussian_profile(grid, 0.5, 1.0, 0.0, 0.0)
-        h = 0.04
-        sched = make_schedule(dt=0.01, t_final=4.0 + h, grow_after=np.inf, extra_times=(4.0 - h, 4.0))
-        snaps = evolve(initial_state(grid, psi1, psi2, 0.2), sched)
-        by_t = {round(s.t, 6): s for s in snaps}
-        sm, s0, sp = by_t[round(4.0 - h, 6)], by_t[4.0], by_t[round(4.0 + h, 6)]
-
-        def diff(s):
-            return m_endpoint(modified_amplitudes(s)).m_values
-
-        fd = (diff(sp) - diff(sm)) / (2 * h)
-        r = rho(s0)
-        rel = np.max(np.abs(fd - r)) / np.max(np.abs(r))
-        psym = evolve(initial_state(grid, psi1, psi1, 0.2), make_schedule(dt=0.01, t_final=2.0, grow_after=np.inf))[-1]
-        sym_zero = np.max(np.abs(rho(psym)))
-        return rel < 1e-3 and sym_zero == 0.0, f"identity mismatch {rel:.2e}, symmetric rho {sym_zero:.1e}"
-
-    def check_m_routes():
-        # Scenario A on a box holding its spread to T = 50; any warning fails the check
-        cfg = replace(SCENARIO_A, grid_n=2048, grid_length=512.0, t_final=50.0)
-        eps = cfg.epsilon_single()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            gap = run_case(cfg).record.c_quad
-        return gap < 1e-2 * eps**2, f"cross-route gap {gap:.2e} (want < {1e-2 * eps**2:.1e})"
-
-    def check_m_decoupled():
-        psi1 = gaussian_profile(grid, 1.0, 1.0, 0.0, 0.0)
-        eps = 0.1
-        sched = make_schedule(dt=0.01, t_final=20.0)
-        snaps = evolve(
-            initial_state(grid, psi1, ComplexField(grid, np.zeros(grid.n, complex), SPACE), eps),
-            sched,
-        )
-        m_end = m_endpoint(modified_amplitudes(snaps[-1]))
-        expected = eps**2 * np.abs(forward_ft(psi1).values) ** 2
-        err = np.max(np.abs(m_end.m_values - expected))
-        tags = classify(m_end, eps**2 * 1e-3)
-        tags_ok = np.all((tags == 1) == (np.abs(forward_ft(psi1).values) ** 2 > 1e-3))
-        return err < 1e-10 and tags_ok, f"decoupled profile error {err:.2e}"
-
-    def check_config_tables():
-        cfg = parse_config("grid.n = 64\ngrid.length = 32\nepsilon = 0.1, 0.2\n")
-        ok_cfg = parse_config(serialize_config(cfg)) == cfg
-        vals = rng.standard_normal(40).reshape(10, 4)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "t.tsv")
-            write_table(path, ["a", "b", "c", "d"], vals)
-            header, back = read_table(path)
-        ok_tab = header == ["a", "b", "c", "d"] and np.array_equal(back, vals)
-        return ok_cfg and ok_tab, "config and table round trips"
-
-    def check_order_fit():
-        eps = np.array([0.05, 0.1, 0.2, 0.4])
-        fit = fit_order(eps, eps**3)
-        ok = abs(fit.slope - 3.0) < 1e-9 and abs(fit.intercept) < 1e-9
-        fit2 = fit_order(eps, 5 * eps**4)
-        ok2 = abs(fit2.slope - 4.0) < 1e-9 and abs(fit2.intercept - np.log(5)) < 1e-9
-        return ok and ok2, f"power-law slopes {fit.slope:.6f}, {fit2.slope:.6f}"
-
-    return [
-        ("transform_round_trip", check_transform_round_trip),
-        ("transform_gaussian_closed_form", check_transform_gaussian),
-        ("transform_shift_identity", check_transform_shift),
-        ("free_propagator_group_and_norm", check_propagator),
-        ("nonlinear_substep_exactness", check_substep),
-        ("strang_decoupled_free_case", check_strang_decoupled),
-        ("strang_symmetric_bitwise", check_strang_symmetric_bitwise),
-        ("mass_dissipation_ledger", check_mass_ledger),
-        ("rho_time_derivative_identity", check_rho_identity),
-        ("m_route_agreement", check_m_routes),
-        ("m_decoupled_exact", check_m_decoupled),
-        ("config_and_table_round_trip", check_config_tables),
-        ("order_fit_power_laws", check_order_fit),
-    ]
-
-
 def _cmd_verify(args: list[str]) -> int:
     if args:
         raise ConfigError("verify takes no arguments")
+    from .checks import verify_checks  # here, not at import, which every other command would pay for
+
     failures = 0
-    for name, check in _verify_checks():
+    for name, check in verify_checks():
         try:
             ok, detail = check()
         except Exception as err:  # a crashed check is a failed check

@@ -35,6 +35,7 @@ from .spectral import (
     SPACE,
     ComplexField,
     Grid,
+    RegimeWarning,
     _abs2,
     _squared_norms,
     forward_ft,
@@ -237,7 +238,10 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     and orthogonality defect, so the analysis holds O(n) memory whatever
     the snapshot count.  A band-max tail estimate above the threshold
     means the tags may still change beyond T; it raises a RuntimeWarning
-    naming T and both values.
+    naming T and both values.  At eps > 0 a relative threshold 1e-6 eps^2
+    below the tiny floor is replaced by the floor, which cuts tags the
+    relative threshold would keep; it raises a `RegimeWarning` naming eps,
+    T and both thresholds.
     """
     eps = cfg.epsilon_single() if epsilon is None else float(epsilon)
     if cfg.t_final < T_ANCHOR:
@@ -262,7 +266,15 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     t_defect = theorem_defect(m_end, psi1_hat, psi2_hat, eps, band)
     c_quad = float(np.max(np.abs(m_end.m_values - m_int.m_values)[band], initial=0.0))
     tail = float(np.max(m_int.tail_estimate[band], initial=0.0))
-    threshold = max(10.0 * c_quad, 1e-6 * eps**2, float(np.finfo(np.float64).tiny))
+    tiny = float(np.finfo(np.float64).tiny)
+    threshold = max(10.0 * c_quad, 1e-6 * eps**2, tiny)
+    if eps > 0 and threshold == tiny:
+        warnings.warn(
+            f"relative threshold 1e-6*eps^2 = {1e-6 * eps**2:.3g} at eps = {eps:g}, T = {schedule.t_final:g} "
+            f"is below the float64 floor {threshold:.3g}; tags are cut at the floor, not at the relative threshold",
+            RegimeWarning,
+            stacklevel=2,
+        )
     if tail > threshold:
         warnings.warn(
             f"tail estimate {tail:.3g} beyond T = {schedule.t_final:g} exceeds the "

@@ -127,14 +127,13 @@ class SpectralSnapshot:
 class MProfile:
     """Sign profile m sampled on the frequency grid.
 
-    method is 'endpoint' or 'integral'; profiles from both routes on the
-    same grid are elementwise comparable.  The integral route attaches a
-    per-frequency estimate of the neglected tail beyond t_final.
+    Profiles from both routes on the same grid are elementwise comparable.
+    The integral route attaches a per-frequency estimate of the neglected
+    tail beyond t_final.
     """
 
     grid: Grid
     m_values: np.ndarray
-    method: str
     t_final: float
     tail_estimate: np.ndarray | None = None
 
@@ -326,7 +325,7 @@ class _AnchoredPass:
     def profile(self) -> MProfile:
         """The anchor's endpoint difference plus the fold's trapezoid, with its tail estimate."""
         m_vals = _endpoint_difference(self.anchor) + self.fold.integral
-        return MProfile(self.anchor.grid, m_vals, "integral", self.fold.times[-1], self.fold.tail_estimate())
+        return MProfile(self.anchor.grid, m_vals, self.fold.times[-1], self.fold.tail_estimate())
 
 
 def m_integral(states: list[SystemState]) -> MProfile:
@@ -352,7 +351,7 @@ def m_endpoint(final_snapshot: SpectralSnapshot) -> MProfile:
     """Telescoped route: endpoint difference |alpha_1(T)|^2 - |alpha_2(T)|^2."""
     if final_snapshot.t < T_ANCHOR - TIME_TOL:
         raise ValueError("endpoint route needs T >= 2")
-    return MProfile(final_snapshot.grid, _endpoint_difference(final_snapshot), "endpoint", final_snapshot.t)
+    return MProfile(final_snapshot.grid, _endpoint_difference(final_snapshot), final_snapshot.t)
 
 
 def _window_integrals(states: list[SystemState], windows) -> list[np.ndarray]:

@@ -17,6 +17,7 @@ from nlslab import (
     make_schedule,
     parse_config,
 )
+import nlslab.checks
 import nlslab.cli
 from nlslab.cli import main
 from nlslab.tables import read_table, write_table
@@ -548,11 +549,44 @@ class TestVerifyCommand:
             warnings.warn("tail estimate exceeds the classification threshold", RuntimeWarning)
             raise AssertionError("the warning should have stopped the run")
 
-        monkeypatch.setattr(nlslab.cli, "run_case", warning_run_case)
+        monkeypatch.setattr(nlslab.checks, "run_case", warning_run_case)
         assert main(["verify"]) == 2
         out = capsys.readouterr().out
-        assert "FAIL  m_route_agreement: raised RuntimeWarning: tail estimate exceeds" in out
+        assert "FAIL  criterion_05_cross_method_agreement: raised RuntimeWarning: tail estimate exceeds" in out
         assert "1 check(s) failed" in out
+
+    def test_verify_runs_each_shared_criterion_once(self, capsys, monkeypatch):
+        shared = {
+            "01": "decoupled_exactness",
+            "02": "symmetric_pair",
+            "03": "mass_ledger",
+            "05": "cross_route_agreement",
+            "06": "rho_identity",
+        }
+        calls = []
+
+        def stub(name):
+            def check(*args):
+                calls.append(name)
+                return True, f"stub {name}"
+
+            return check
+
+        for name in shared.values():
+            monkeypatch.setattr(nlslab.checks, name, stub(name))
+        monkeypatch.setattr(nlslab.checks, "run_case", lambda cfg: None)  # criterion 05's run
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(calls) == sorted(shared.values())
+        for number, name in shared.items():
+            mine = [line for line in lines if line.startswith(f"PASS  criterion_{number}_")]
+            assert len(mine) == 1 and mine[0].endswith(f": stub {name}"), (number, lines)
+
+    def test_route_agreement_fails_on_an_empty_band(self):
+        # c_quad is 0 on an empty band; the criterion must not pass on it
+        case = SimpleNamespace(band=np.zeros(8, dtype=bool), record=SimpleNamespace(c_quad=0.0), epsilon=0.1)
+        ok, detail = nlslab.checks.cross_route_agreement(case)
+        assert not ok and "empty" in detail
 
     def test_verify_rejects_arguments(self, capsys):
         assert main(["verify", "extra"]) == 1

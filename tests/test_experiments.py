@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from nlslab import (
     AprioriReport,
+    RegimeWarning,
     RunConfig,
     ProfileSpec,
     SCENARIO_A,
@@ -416,6 +417,27 @@ class TestTailWarning:
             warnings.simplefilter("error")
             case = run_case(cfg)
         assert 0 < case.record.tail_estimate < case.record.threshold
+
+
+class TestThresholdFloorWarning:
+    # Scenario B tags 75 frequencies first-survives at eps = 1e-150, where
+    # the threshold is 1e-306; on the floor, 73 at 1e-151 and none at 1e-154
+    CFG = replace(SCENARIO_B, grid_n=256, grid_length=64.0, t_final=20.0)
+
+    def test_threshold_on_the_floor_warns(self):
+        with pytest.warns(RegimeWarning, match="float64 floor") as seen:
+            case = run_case(self.CFG, 1e-154)
+        assert case.threshold == np.finfo(np.float64).tiny
+        message = str(seen[0].message)
+        assert "eps = 1e-154" in message
+        assert f"floor {case.threshold:.3g}" in message
+        assert f"1e-6*eps^2 = {1e-6 * 1e-154**2:.3g}" in message
+
+    @pytest.mark.parametrize("eps", [1e-150, 0.0])
+    def test_threshold_above_the_floor_or_at_zero_amplitude_stays_silent(self, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_case(self.CFG, eps)
 
 
 class TestTailBound:

@@ -306,7 +306,6 @@ class TestMRoutes:
         profile = m_integral(snaps)
         expected = eps**2 * np.abs(forward_ft(unit_gaussian).values) ** 2
         assert np.max(np.abs(profile.m_values - expected)) < 1e-10
-        assert profile.method == "integral"
         assert np.all(profile.tail_estimate == 0)
 
     def test_decoupled_endpoint_route_exact(self, grid, unit_gaussian, zero):
@@ -316,7 +315,6 @@ class TestMRoutes:
         profile = m_endpoint(modified_amplitudes(snaps[-1]))
         expected = eps**2 * np.abs(forward_ft(unit_gaussian).values) ** 2
         assert np.max(np.abs(profile.m_values - expected)) < 1e-10
-        assert profile.method == "endpoint"
 
     def test_symmetric_data_profiles_vanish(self, grid, unit_gaussian):
         sched = make_schedule(dt=0.01, t_final=10.0)
