@@ -5,16 +5,21 @@ configuration, a table that cannot be written), 2 runtime abort (non-finite
 samples, mass growth, or a failed self-check in `verify`).
 
 `evolve` opens `snapshots.tsv` before the run and writes its blocks after
-it.  With a second core and `fork`, one forked child formats every other
-block while this process formats the rest and writes them all in order; on
-one core, without `fork`, or where the cores cannot be counted, this
-process formats every block.  No process runs during the run.  Every table
-is opened through `tables.open_table`, so an abort or a failed write
-removes it.
+it.  With a second core and `fork`, it forks one helper process before the
+run.  When `observers.tsv` is wanted, each observer state streams to the
+helper as raw bytes while the run goes on, and the helper runs the
+trajectory recorder on it; its rows come back after the run and this
+process writes the table.  The helper then formats every other snapshot
+block while this process formats the rest and writes them all in order.
+On one core, without `fork`, or where the cores cannot be counted, this
+process records and formats everything.  Every table is opened through
+`tables.open_table`, so an abort or a failed write removes it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import sys
 import warnings
@@ -23,8 +28,8 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .spectral import SimulationAbort
-from .dynamics import TrajectoryRecorder, count_steps, evolve, mass, nonlinear_substep  # last: read by perfbench tests
+from .spectral import SPACE, SimulationAbort, _field_pair
+from .dynamics import SystemState, TrajectoryRecorder, count_steps, evolve, mass, nonlinear_substep  # last: read by perfbench tests
 from .experiments import OrderFit, SweepRecord, _run_inputs, corollary_scenarios, run_case, run_sweep
 from .tables import block_formatter, open_table, write_table
 
@@ -55,7 +60,7 @@ def _outdir(cfg: RunConfig) -> str:
 
 
 def _fork_context():
-    """The `fork` context for a formatter process, or None on one core or without fork.
+    """The `fork` context for `evolve`'s helper process, or None on one core or without fork.
 
     Where the usable cores cannot be counted (no `os.sched_getaffinity`, as
     on macOS and Windows) this counts as one core.
@@ -75,55 +80,165 @@ def _snapshot_block(format_block, state) -> str:
     return format_block(state.t, pairs.view(np.float64).ravel())
 
 
-def _send_blocks(conn, format_block, states) -> None:
-    """The forked formatter: send each state's block text, in order."""
-    for state in states:
-        conn.send_bytes(_snapshot_block(format_block, state).encode())
+def _send_state(fd: int, state) -> None:
+    """Write one state to the helper's stream: t as a complex128, then u1 and u2."""
+    message = (np.complex128(state.t), state.u1.values, state.u2.values)
+    sent = os.writev(fd, message)
+    rest = memoryview(b"".join(message))[sent:] if sent < 16 * (1 + 2 * state.grid.n) else b""
+    while rest:  # a write cut short, as by a signal
+        rest = rest[os.write(fd, rest) :]
 
 
-def _write_snapshot_blocks(fh, snapshots) -> None:
-    """Write every snapshot's block to `fh`, in order, from this process.
+def _read_state(fd: int, view: memoryview) -> bool:
+    """Fill `view` with the next state from the stream; False once the stream has ended."""
+    got = 0
+    while got < len(view):
+        n = os.readv(fd, [view[got:]])
+        if n == 0:
+            return False
+        got += n
+    return True
 
-    With a second core and `fork`, one child formats the odd blocks and
-    sends their text through a one-way pipe while this process formats the
-    even ones; otherwise this process formats them all.  The child never
-    touches the file.  It is forked before any block is written, so it holds
-    no buffered part of the table, and it calls no threaded code.  It ends
-    through multiprocessing's `os._exit`, so it never unwinds the caller's
-    `open_table` block and never removes the table.  On any failure it is
-    killed; a child that dies is a write error.
+
+def _serve(fd, parent_end, conn, grid, recorder, keep, format_block) -> None:
+    """The forked helper: record each streamed state, report, then send the kept states' blocks.
+
+    State k of the stream is evolve's k-th observer state; those whose
+    index is in `keep` are kept for `snapshots.tsv`.  A recorder abort is
+    worded as evolve words an observer's, and the rest of the stream is
+    read and dropped.  The report is the recorder's rows, the warnings
+    it raised and the abort message, if any.
     """
-    format_block = block_formatter(snapshots[0].grid.points)
-    ctx = _fork_context() if len(snapshots) >= 2 else None
-    if ctx is None:
-        for state in snapshots:
-            fh.write(_snapshot_block(format_block, state))
-        return
-    receiver, sender = ctx.Pipe(duplex=False)
-    with receiver:
-        with sender:  # the child holds its own copy
-            proc = ctx.Process(target=_send_blocks, args=(sender, format_block, snapshots[1::2]), daemon=True)
+    os.close(parent_end)  # the stream ends when this process's copy is closed too
+    buf = np.empty(1 + 2 * grid.n, dtype=np.complex128)
+    view = memoryview(buf).cast("B")
+    kept, abort, k = [], None, 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        while _read_state(fd, view):
+            t = float(buf[0].real)
+            pair = buf[1:].reshape(2, grid.n)
+            state = SystemState(t, *_field_pair(grid, pair.copy() if k in keep else pair, SPACE))
+            if recorder is not None and abort is None:
+                try:
+                    recorder(state)
+                except SimulationAbort as err:
+                    abort = f"{err} at step {k}, t = {t}" if k else str(err)
+            if k in keep:
+                kept.append(state)
+            k += 1
+    conn.send((recorder.rows if recorder is not None else None, [w.message for w in caught], abort))
+    if abort is None:
+        for state in kept:
+            conn.send_bytes(_snapshot_block(format_block, state).encode())
+
+
+class _Helper:
+    """The one forked helper of an `nlslab evolve` run, started before the run.
+
+    With a recorder, `observe` is the run's observer: it streams each state
+    through a raw pipe to the helper, which runs the recorder on it and
+    keeps the odd snapshots among the states.  Without one, `finish` sends
+    the odd snapshots after the run.  `finish` ends the stream and returns
+    the recorder's rows; it re-emits the recorder's warnings here and
+    raises its `SimulationAbort`.  `block` then receives each odd snapshot
+    block's text, in order, while this process formats the even ones.
+
+    The helper never touches a table.  It is forked after `snapshots.tsv`'s
+    header is flushed and before any block is written, so it holds no
+    buffered part of the table, and it ends through multiprocessing's
+    `os._exit`, so it never unwinds the caller's `open_table` block.  An
+    exception that leaves the `with` block kills it.  A helper that dies is
+    an OSError, naming `table` where no open table names it already.
+    """
+
+    def __init__(self, ctx, schedule, grid, recorder, format_block, table):
+        self._recording = recorder is not None
+        self._table = table
+        # observer call k ends step k; snapshot i >= 1 ends interval i
+        ends = list(itertools.accumulate(nsteps for _, _, nsteps, _ in schedule.plan))
+        if recorder is None:  # the stream is the odd snapshots alone
+            keep = range(len(ends[::2]))
+        else:
+            keep = set(ends[::2]) if format_block is not None else set()
+        read_end, self._fd = os.pipe()
+        self._conn, sender = ctx.Pipe(duplex=False)
+        try:
+            with contextlib.suppress(ImportError, AttributeError, OSError):
+                import fcntl  # a 1 MiB pipe holds several states, so a send rarely waits
+
+                fcntl.fcntl(self._fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+            args = (read_end, self._fd, sender, grid, recorder, keep, format_block)
+            self._proc = ctx.Process(target=_serve, args=args, daemon=True)
             with warnings.catch_warnings():
                 # Python 3.12+ warns on any fork of a process with threads
-                # (numpy's OpenBLAS pool); the child only formats and sends,
+                # (numpy's OpenBLAS pool); the helper calls no threaded code,
                 # so no lock of those threads is used
                 warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-                proc.start()
-        try:
-            for i, state in enumerate(snapshots):
-                if i % 2 == 0:
-                    fh.write(_snapshot_block(format_block, state))
-                    continue
-                try:
-                    fh.write(receiver.recv_bytes().decode())
-                except EOFError:
-                    proc.join()
-                    raise OSError(f"snapshot formatter process exited with code {proc.exitcode}") from None
+                self._proc.start()
         except BaseException:
-            proc.kill()
-            proc.join()
+            os.close(self._fd)
+            self._conn.close()
             raise
-        proc.join()
+        finally:
+            os.close(read_end)
+            sender.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+        self._conn.close()
+        if exc_type is not None:
+            self._proc.kill()
+        self._proc.join()
+
+    def _died(self) -> OSError:
+        self._proc.join()
+        err = f"helper process exited with code {self._proc.exitcode}"
+        return OSError(err if self._table is None else f"cannot write table {self._table!r}: {err}")
+
+    def observe(self, state) -> None:
+        try:
+            _send_state(self._fd, state)
+        except BrokenPipeError:
+            raise self._died() from None
+
+    def finish(self, snapshots):
+        """End the stream and return the recorder's rows (None without a recorder)."""
+        if not self._recording:
+            for state in snapshots[1::2]:
+                self.observe(state)
+        os.close(self._fd)
+        self._fd = None
+        try:
+            rows, caught, abort = self._conn.recv()
+        except EOFError:
+            raise self._died() from None
+        for message in caught:
+            warnings.warn(message, stacklevel=2)
+        if abort is not None:
+            raise SimulationAbort(abort)
+        return rows
+
+    def block(self) -> str:
+        """The next odd snapshot block's text."""
+        try:
+            return self._conn.recv_bytes().decode()
+        except EOFError:
+            raise self._died() from None
+
+
+def _write_snapshot_blocks(fh, snapshots, format_block, helper) -> None:
+    """Write every snapshot's block to `fh`, in order, from this process.
+
+    With a helper, it formats the odd blocks while this process formats
+    the even ones; otherwise this process formats them all.
+    """
+    for i, state in enumerate(snapshots):
+        fh.write(helper.block() if i % 2 and helper is not None else _snapshot_block(format_block, state))
 
 
 def _cmd_evolve(args: list[str]) -> int:
@@ -133,16 +248,31 @@ def _cmd_evolve(args: list[str]) -> int:
     _, schedule, _, _, state0 = _run_inputs(cfg, cfg.epsilon_single())
     # the per-step recorder costs transforms; it runs only for observers.tsv
     recorder = TrajectoryRecorder(with_j_norm=True) if "observers" in cfg.tables else None
+    format_block = block_formatter(state0.grid.points) if "snapshots" in cfg.tables else None
     out = _outdir(cfg)
-    if "snapshots" not in cfg.tables:
-        snapshots = evolve(state0, schedule, recorder)
-    else:
-        # opened before the run, so an unwritable path fails at once
-        with open_table(os.path.join(out, "snapshots.tsv"), ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"]) as fh:
+    observers = os.path.join(out, "observers.tsv")
+    with contextlib.ExitStack() as stack:
+        if format_block is not None:
+            # opened before the run, so an unwritable path fails at once
+            fh = stack.enter_context(
+                open_table(os.path.join(out, "snapshots.tsv"), ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"])
+            )
+        helped = recorder is not None or (format_block is not None and len(schedule.snapshot_steps) >= 2)
+        ctx = _fork_context() if helped else None
+        if ctx is None:
+            helper = None
             snapshots = evolve(state0, schedule, recorder)
-            _write_snapshot_blocks(fh, snapshots)
-    if "observers" in cfg.tables:
-        write_table(os.path.join(out, "observers.tsv"), recorder.header, recorder.rows)
+            rows = recorder.rows if recorder is not None else None
+        else:
+            helper = stack.enter_context(
+                _Helper(ctx, schedule, state0.grid, recorder, format_block, None if format_block else observers)
+            )
+            snapshots = evolve(state0, schedule, helper.observe if recorder is not None else None)
+            rows = helper.finish(snapshots)
+        if format_block is not None:
+            _write_snapshot_blocks(fh, snapshots, format_block, helper)
+    if recorder is not None:
+        write_table(observers, recorder.header, rows)
     final = snapshots[-1]
     print(
         f"evolved to t = {final.t:g} in {count_steps(schedule)} steps; "

@@ -58,8 +58,13 @@ def scenario_b_eps02():
 
 @pytest.fixture(scope="module")
 def scenario_a_case():
-    """Scenario A (carriers +-2) at T = 400, big box (criterion 10)."""
-    return run_case(replace(SCENARIO_A, **BIG))
+    """Scenario A (carriers +-2) at T = 400, big box (criterion 10).
+
+    Its tail estimate beyond T exceeds the classification threshold, and
+    run_case says so: criterion 10 holds in a regime where the tags may
+    still change at a later end time."""
+    with pytest.warns(RuntimeWarning, match="tail estimate"):
+        return run_case(replace(SCENARIO_A, **BIG))
 
 
 @pytest.fixture(scope="module")
@@ -169,8 +174,7 @@ def test_criterion_09_everywhere_domination(scenario_b_eps02):
     m_min = _scenario_report("B", case).m_min_strong_band
     positive = m_min > case.threshold
 
-    times = np.array([s.t for s in case.states])
-    late = times >= 10.0
+    late = case.schedule.times >= 10.0
     # run_case's per-snapshot monitors, l2_norm and orthogonality_defect of
     # each snapshot's amplitudes (pinned to them in test_experiments)
     alpha2 = case.alpha2_norm_seq

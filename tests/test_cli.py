@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nlslab import (
+    RegimeWarning,
     SimulationAbort,
     TrajectoryRecorder,
     build_profile,
@@ -175,18 +176,27 @@ class TestEvolveCommand:
         pid_log = tmp_path / "pids"
         make_formatter = nlslab.cli.block_formatter
 
+        def log_pid(kind):
+            with open(pid_log, "a") as fh:
+                fh.write(f"{kind} {os.getpid()}\n")
+
         def logging_block_formatter(x):
             format_block = make_formatter(x)
 
             def logged(t, values):
-                with open(pid_log, "a") as fh:
-                    fh.write(f"{os.getpid()}\n")
+                log_pid("format")
                 return format_block(t, values)
 
             return logged
 
+        class LoggingRecorder(TrajectoryRecorder):
+            def __call__(self, state):
+                log_pid("record")
+                super().__call__(state)
+
         monkeypatch.setattr(nlslab.cli, "block_formatter", logging_block_formatter)
-        tables, formatted_in = {}, {}
+        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", LoggingRecorder)
+        tables, pids = {}, {}
         for writer in ("forked", "in-process", "no-affinity"):
             with monkeypatch.context() as pinned:
                 pin_writer(pinned, writer)
@@ -195,15 +205,16 @@ class TestEvolveCommand:
                 cfg, out = write_cfg(run_dir, TINY)
                 assert main(["evolve", cfg]) == 0
             assert multiprocessing.active_children() == []
-            with open(os.path.join(out, "snapshots.tsv"), "rb") as fh:
-                tables[writer] = fh.read()
-            formatted_in[writer] = set(pid_log.read_text().split())
+            tables[writer] = {name: (run_dir / "out" / name).read_bytes() for name in ("observers.tsv", "snapshots.tsv")}
+            logged = [line.split() for line in pid_log.read_text().splitlines()]
+            pids[writer] = {kind: {pid for k, pid in logged if k == kind} for kind in ("format", "record")}
             pid_log.unlink()
         assert tables["forked"] == tables["in-process"] == tables["no-affinity"]
         here = str(os.getpid())
-        assert formatted_in["in-process"] == formatted_in["no-affinity"] == {here}
-        # the forked path formats in exactly two processes: this one and one child
-        assert len(formatted_in["forked"]) == 2 and here in formatted_in["forked"]
+        assert pids["in-process"] == pids["no-affinity"] == {"format": {here}, "record": {here}}
+        # the forked path records in one child and formats in it and in this process
+        (child,) = pids["forked"]["record"]
+        assert child != here and pids["forked"]["format"] == {here, child}
 
     def test_forking_the_writer_warns_of_nothing(self, tmp_path, monkeypatch, capsys):
         # Python 3.12+ warns on every fork of a process with threads, such
@@ -257,17 +268,88 @@ class TestEvolveCommand:
         # the output directory is made before the run, and left empty
         assert os.listdir(out) == []
 
-    def test_no_process_runs_during_the_run(self, tmp_path, monkeypatch, capsys, writer):
-        class ProcessFreeRecorder(TrajectoryRecorder):
-            def __call__(self, state):
-                assert multiprocessing.active_children() == []
-                super().__call__(state)
+    def test_one_helper_runs_during_the_run_and_none_after(self, tmp_path, monkeypatch, capsys, writer):
+        # the helper is forked before the run and joined before main returns
+        children = []
 
-        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", ProcessFreeRecorder)
+        def probing_evolve(state0, schedule, observer=None):
+            def probe(state):
+                children.append(len(multiprocessing.active_children()))
+                observer(state)
+
+            return evolve(state0, schedule, probe)
+
+        monkeypatch.setattr(nlslab.cli, "evolve", probing_evolve)
         cfg, out = write_cfg(tmp_path, TINY)
         assert main(["evolve", cfg]) == 0
         assert multiprocessing.active_children() == []
-        assert os.path.getsize(os.path.join(out, "snapshots.tsv")) > 0
+        assert set(children) == ({1} if writer == "forked" else {0}) and len(children) == 223
+        assert sorted(os.listdir(out)) == ["observers.tsv", "snapshots.tsv"]
+
+    @pytest.mark.parametrize("abort_t", [4.5, 0.0])
+    def test_recorder_abort_in_the_helper_is_worded_as_evolve_words_it(self, tmp_path, monkeypatch, capsys, abort_t):
+        # evolve names the step and time of an observer's abort after step
+        # 0; the helper's abort reaches main with the same words
+        class AbortingRecorder(TrajectoryRecorder):
+            def __call__(self, state):
+                if state.t >= abort_t:
+                    raise SimulationAbort(f"injected in {'this process' if os.getpid() == here else 'the helper'}")
+                super().__call__(state)
+
+        here = os.getpid()
+        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", AbortingRecorder)
+        errs = {}
+        for writer in ("forked", "in-process"):
+            with monkeypatch.context() as pinned:
+                pin_writer(pinned, writer)
+                run_dir = tmp_path / writer
+                run_dir.mkdir()
+                cfg, out = write_cfg(run_dir, TINY)
+                assert main(["evolve", cfg]) == 2
+            assert multiprocessing.active_children() == []
+            assert os.listdir(out) == []
+            errs[writer] = capsys.readouterr().err
+        where = "" if abort_t == 0.0 else " at step 219, t = 4.57"  # TINY's first step past 4.5
+        assert errs["forked"] == f"runtime abort: injected in the helper{where}\n"
+        assert errs["forked"].replace("the helper", "this process") == errs["in-process"]
+
+    def test_recorder_warning_in_the_helper_is_emitted_here_once(self, tmp_path, monkeypatch, capsys):
+        # at eps = 1e100 the dissipation rate |u1|^2 |u2|^2 overflows float64
+        big = TINY.replace("epsilon = 0.1", "epsilon = 1e100")
+        caught, tables = {}, {}
+        for writer in ("forked", "in-process"):
+            with monkeypatch.context() as pinned:
+                pin_writer(pinned, writer)
+                run_dir = tmp_path / writer
+                run_dir.mkdir()
+                cfg, out = write_cfg(run_dir, big)
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter("always")
+                    assert main(["evolve", cfg]) == 0
+            caught[writer] = [(w.category, str(w.message)) for w in seen]
+            tables[writer] = (run_dir / "out" / "observers.tsv").read_bytes()
+        assert caught["forked"] == caught["in-process"] == [
+            (RegimeWarning, "recorder column dissipation_rate overflowed float64 at t = 0.0; recorded as inf")
+        ]
+        assert tables["forked"] == tables["in-process"]
+
+    @pytest.mark.parametrize("tables, named", [("observers, snapshots", "snapshots.tsv"), ("observers", "observers.tsv")])
+    def test_helper_that_dies_is_a_write_error(self, tmp_path, monkeypatch, capsys, tables, named):
+        class DyingRecorder(TrajectoryRecorder):
+            def __call__(self, state):
+                if os.getpid() != here and state.t > 3.0:
+                    os._exit(3)
+                super().__call__(state)
+
+        here = os.getpid()
+        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", DyingRecorder)
+        pin_writer(monkeypatch, "forked")
+        cfg, out = write_cfg(tmp_path, TINY + f"outputs.tables = {tables}\n")
+        assert main(["evolve", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write table {os.path.join(out, named)!r}: helper process exited with code 3" in err, err
+        assert multiprocessing.active_children() == []
+        assert os.listdir(out) == []
 
     def test_formatter_failing_in_another_process_is_a_write_error(self, tmp_path, monkeypatch, capsys, writer):
         make_formatter = nlslab.cli.block_formatter
