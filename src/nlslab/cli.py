@@ -6,20 +6,21 @@ samples, mass growth, or a failed self-check in `verify`).
 
 `evolve` opens `snapshots.tsv` before the run and writes its blocks after
 it.  With a second core and `fork`, it forks one helper process before the
-run.  When `observers.tsv` is wanted, each observer state streams to the
-helper as raw bytes while the run goes on, and the helper runs the
-trajectory recorder on it; its rows come back after the run and this
-process writes the table.  The helper then formats every other snapshot
-block while this process formats the rest and writes them all in order.
-On one core, without `fork`, or where the cores cannot be counted, this
-process records and formats everything.  Every table is opened through
-`tables.open_table`, so an abort or a failed write removes it.
+run and sends it one stream of states as raw bytes.  When `observers.tsv`
+is wanted, the stream starts with every observer state, sent while the run
+goes on, and the helper runs the trajectory recorder on each; its rows
+come back after the run and this process writes the table.  When
+`snapshots.tsv` is wanted, the stream ends with every other snapshot, sent
+after the run; the helper formats their blocks while this process formats
+the rest and writes them all in order.  On one core, without `fork`, or
+where the cores cannot be counted, this process records and formats
+everything.  Every table is opened through `tables.open_table`, so an
+abort or a failed write removes it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import sys
 import warnings
@@ -100,13 +101,13 @@ def _read_state(fd: int, view: memoryview) -> bool:
     return True
 
 
-def _serve(fd, parent_end, conn, grid, recorder, keep, format_block) -> None:
-    """The forked helper: record each streamed state, report, then send the kept states' blocks.
+def _serve(fd, parent_end, conn, grid, recorder, count, format_block) -> None:
+    """The forked helper: record the stream's first `count` states, report, then send the rest's blocks.
 
-    State k of the stream is evolve's k-th observer state; those whose
-    index is in `keep` are kept for `snapshots.tsv`.  A recorder abort is
-    worded as evolve words an observer's, and the rest of the stream is
-    read and dropped.  The report is the recorder's rows, the warnings
+    State k < `count` of the stream is evolve's k-th observer state; the
+    states after them are the snapshots to format.  A recorder abort is
+    worded as evolve words an observer's, and the states still to record
+    are read and dropped.  The report is the recorder's rows, the warnings
     it raised and the abort message, if any.
     """
     os.close(parent_end)  # the stream ends when this process's copy is closed too
@@ -118,14 +119,13 @@ def _serve(fd, parent_end, conn, grid, recorder, keep, format_block) -> None:
         while _read_state(fd, view):
             t = float(buf[0].real)
             pair = buf[1:].reshape(2, grid.n)
-            state = SystemState(t, *_field_pair(grid, pair.copy() if k in keep else pair, SPACE))
-            if recorder is not None and abort is None:
+            if k >= count:
+                kept.append(SystemState(t, *_field_pair(grid, pair.copy(), SPACE)))
+            elif abort is None:
                 try:
-                    recorder(state)
+                    recorder(SystemState(t, *_field_pair(grid, pair, SPACE)))
                 except SimulationAbort as err:
                     abort = f"{err} at step {k}, t = {t}" if k else str(err)
-            if k in keep:
-                kept.append(state)
             k += 1
     conn.send((recorder.rows if recorder is not None else None, [w.message for w in caught], abort))
     if abort is None:
@@ -136,13 +136,14 @@ def _serve(fd, parent_end, conn, grid, recorder, keep, format_block) -> None:
 class _Helper:
     """The one forked helper of an `nlslab evolve` run, started before the run.
 
-    With a recorder, `observe` is the run's observer: it streams each state
-    through a raw pipe to the helper, which runs the recorder on it and
-    keeps the odd snapshots among the states.  Without one, `finish` sends
-    the odd snapshots after the run.  `finish` ends the stream and returns
-    the recorder's rows; it re-emits the recorder's warnings here and
-    raises its `SimulationAbort`.  `block` then receives each odd snapshot
-    block's text, in order, while this process formats the even ones.
+    The helper reads one stream of states, sent through a raw pipe.  With a
+    recorder, `observe` is the run's observer: it sends each of the run's
+    `count_steps(schedule) + 1` observer states, and the helper runs the
+    recorder on them.  `finish` then sends the snapshots whose blocks the
+    helper formats, ends the stream and returns the recorder's rows; it
+    re-emits the recorder's warnings here and raises its `SimulationAbort`.
+    `block` then receives each sent snapshot's block text, in order, while
+    this process formats the others.
 
     The helper never touches a table.  It is forked after `snapshots.tsv`'s
     header is flushed and before any block is written, so it holds no
@@ -153,14 +154,8 @@ class _Helper:
     """
 
     def __init__(self, ctx, schedule, grid, recorder, format_block, table):
-        self._recording = recorder is not None
         self._table = table
-        # observer call k ends step k; snapshot i >= 1 ends interval i
-        ends = list(itertools.accumulate(nsteps for _, _, nsteps, _ in schedule.plan))
-        if recorder is None:  # the stream is the odd snapshots alone
-            keep = range(len(ends[::2]))
-        else:
-            keep = set(ends[::2]) if format_block is not None else set()
+        count = count_steps(schedule) + 1 if recorder is not None else 0
         read_end, self._fd = os.pipe()
         self._conn, sender = ctx.Pipe(duplex=False)
         try:
@@ -168,7 +163,7 @@ class _Helper:
                 import fcntl  # a 1 MiB pipe holds several states, so a send rarely waits
 
                 fcntl.fcntl(self._fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-            args = (read_end, self._fd, sender, grid, recorder, keep, format_block)
+            args = (read_end, self._fd, sender, grid, recorder, count, format_block)
             self._proc = ctx.Process(target=_serve, args=args, daemon=True)
             with warnings.catch_warnings():
                 # Python 3.12+ warns on any fork of a process with threads
@@ -206,11 +201,10 @@ class _Helper:
         except BrokenPipeError:
             raise self._died() from None
 
-    def finish(self, snapshots):
-        """End the stream and return the recorder's rows (None without a recorder)."""
-        if not self._recording:
-            for state in snapshots[1::2]:
-                self.observe(state)
+    def finish(self, to_format):
+        """Send the snapshots `to_format`, end the stream and return the recorder's rows (None without one)."""
+        for state in to_format:
+            self.observe(state)
         os.close(self._fd)
         self._fd = None
         try:
@@ -224,21 +218,11 @@ class _Helper:
         return rows
 
     def block(self) -> str:
-        """The next odd snapshot block's text."""
+        """The next sent snapshot's block text."""
         try:
             return self._conn.recv_bytes().decode()
         except EOFError:
             raise self._died() from None
-
-
-def _write_snapshot_blocks(fh, snapshots, format_block, helper) -> None:
-    """Write every snapshot's block to `fh`, in order, from this process.
-
-    With a helper, it formats the odd blocks while this process formats
-    the even ones; otherwise this process formats them all.
-    """
-    for i, state in enumerate(snapshots):
-        fh.write(helper.block() if i % 2 and helper is not None else _snapshot_block(format_block, state))
 
 
 def _cmd_evolve(args: list[str]) -> int:
@@ -268,9 +252,10 @@ def _cmd_evolve(args: list[str]) -> int:
                 _Helper(ctx, schedule, state0.grid, recorder, format_block, None if format_block else observers)
             )
             snapshots = evolve(state0, schedule, helper.observe if recorder is not None else None)
-            rows = helper.finish(snapshots)
-        if format_block is not None:
-            _write_snapshot_blocks(fh, snapshots, format_block, helper)
+            rows = helper.finish(snapshots[1::2] if format_block is not None else ())
+        if format_block is not None:  # the helper, if any, formats the odd blocks
+            for i, state in enumerate(snapshots):
+                fh.write(helper.block() if i % 2 and helper is not None else _snapshot_block(format_block, state))
     if recorder is not None:
         write_table(observers, recorder.header, rows)
     final = snapshots[-1]

@@ -237,7 +237,7 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     into the outputs and dropped, with each snapshot's masses, alpha2 norm
     and orthogonality defect, so the analysis holds O(n) memory whatever
     the snapshot count.  A band-max tail estimate above the threshold
-    means the tags may still change beyond T; it raises a RuntimeWarning
+    means the tags may still change beyond T; it raises a `RegimeWarning`
     naming T and both values.  At eps > 0 a relative threshold 1e-6 eps^2
     below the tiny floor is replaced by the floor, which cuts tags the
     relative threshold would keep; it raises a `RegimeWarning` naming eps,
@@ -279,7 +279,7 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
         warnings.warn(
             f"tail estimate {tail:.3g} beyond T = {schedule.t_final:g} exceeds the "
             f"classification threshold {threshold:.3g}; tags may still change at a later end time",
-            RuntimeWarning,
+            RegimeWarning,
             stacklevel=2,
         )
 

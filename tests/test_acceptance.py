@@ -16,6 +16,7 @@ from dataclasses import replace
 from nlslab import (
     SCENARIO_A,
     SCENARIO_B,
+    RegimeWarning,
     TrajectoryRecorder,
     evolve,
     forward_ft,
@@ -63,7 +64,7 @@ def scenario_a_case():
     Its tail estimate beyond T exceeds the classification threshold, and
     run_case says so: criterion 10 holds in a regime where the tags may
     still change at a later end time."""
-    with pytest.warns(RuntimeWarning, match="tail estimate"):
+    with pytest.warns(RegimeWarning, match="tail estimate"):
         return run_case(replace(SCENARIO_A, **BIG))
 
 

@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -102,6 +104,15 @@ class TestDispatch:
         assert main(["evolve", cfg]) == 2
         assert "runtime abort" in capsys.readouterr().err
 
+    def test_import_loads_neither_multiprocessing_nor_checks(self):
+        # both are imported where they are used: `evolve`'s helper and
+        # `verify`; every command, and every importer, would pay for them
+        src = os.path.dirname(os.path.dirname(nlslab.cli.__file__))
+        code = "import sys, nlslab.cli; print(sorted({'multiprocessing', 'nlslab.checks'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
+
 
 class TestEvolveCommand:
     def test_writes_tables(self, tmp_path, capsys):
@@ -196,25 +207,40 @@ class TestEvolveCommand:
 
         monkeypatch.setattr(nlslab.cli, "block_formatter", logging_block_formatter)
         monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", LoggingRecorder)
-        tables, pids = {}, {}
-        for writer in ("forked", "in-process", "no-affinity"):
-            with monkeypatch.context() as pinned:
-                pin_writer(pinned, writer)
-                run_dir = tmp_path / writer
-                run_dir.mkdir()
-                cfg, out = write_cfg(run_dir, TINY)
-                assert main(["evolve", cfg]) == 0
-            assert multiprocessing.active_children() == []
-            tables[writer] = {name: (run_dir / "out" / name).read_bytes() for name in ("observers.tsv", "snapshots.tsv")}
-            logged = [line.split() for line in pid_log.read_text().splitlines()]
-            pids[writer] = {kind: {pid for k, pid in logged if k == kind} for kind in ("format", "record")}
-            pid_log.unlink()
-        assert tables["forked"] == tables["in-process"] == tables["no-affinity"]
         here = str(os.getpid())
-        assert pids["in-process"] == pids["no-affinity"] == {"format": {here}, "record": {here}}
-        # the forked path records in one child and formats in it and in this process
-        (child,) = pids["forked"]["record"]
-        assert child != here and pids["forked"]["format"] == {here, child}
+        # TINY's 5 has eight snapshots; 0.01 has two, so one odd block; 0 has one, so none
+        for tables in ("observers, snapshots", "snapshots", "observers"):
+            for t_final in ("5", "0.01", "0"):
+                text = TINY.replace("time.t_final = 5", f"time.t_final = {t_final}") + f"outputs.tables = {tables}\n"
+                outputs, pids = {}, {}
+                for writer in ("forked", "in-process", "no-affinity"):
+                    with monkeypatch.context() as pinned:
+                        pin_writer(pinned, writer)
+                        run_dir = tmp_path / tables.replace(", ", "+") / t_final / writer
+                        run_dir.mkdir(parents=True)
+                        cfg, out = write_cfg(run_dir, text)
+                        assert main(["evolve", cfg]) == 0
+                    assert multiprocessing.active_children() == []
+                    stdout = capsys.readouterr().out.replace(out, "<out>")
+                    outputs[writer] = stdout, {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}
+                    logged = [line.split() for line in pid_log.read_text().splitlines()] if pid_log.exists() else []
+                    pids[writer] = {kind: {pid for k, pid in logged if k == kind} for kind in ("format", "record")}
+                    pid_log.unlink(missing_ok=True)
+                case = (tables, t_final)
+                assert outputs["forked"] == outputs["in-process"] == outputs["no-affinity"], case
+                assert sorted(outputs["forked"][1]) == sorted(f"{name.strip()}.tsv" for name in tables.split(",")), case
+                snapshots, observers = "snapshots" in tables, "observers" in tables
+                here_only = {"format": {here} if snapshots else set(), "record": {here} if observers else set()}
+                assert pids["in-process"] == pids["no-affinity"] == here_only, case
+                # the forked path records in one child, which also formats the odd
+                # blocks; with snapshots alone it records nothing, and with
+                # observers alone it formats nothing
+                (child,) = (pids["forked"]["format"] | pids["forked"]["record"]) - {here} or {None}
+                odd_block = t_final != "0"
+                assert pids["forked"] == {
+                    "format": ({here, child} if odd_block else {here}) if snapshots else set(),
+                    "record": {child} if observers else set(),
+                }, case
 
     def test_forking_the_writer_warns_of_nothing(self, tmp_path, monkeypatch, capsys):
         # Python 3.12+ warns on every fork of a process with threads, such
@@ -440,7 +466,7 @@ class TestEvolveCommand:
         assert os.path.exists(os.path.join(out, "observers.tsv"))
         assert not os.path.exists(os.path.join(out, "snapshots.tsv"))
 
-    def test_snapshots_alone_run_no_recorder(self, tmp_path, monkeypatch, capsys):
+    def test_snapshots_alone_run_no_recorder(self, tmp_path, monkeypatch, capsys, writer):
         both, alone = tmp_path / "both", tmp_path / "alone"
         both.mkdir()
         alone.mkdir()
@@ -628,13 +654,13 @@ class TestVerifyCommand:
 
     def test_verify_fails_on_a_warning_from_the_m_route_run(self, capsys, monkeypatch):
         def warning_run_case(cfg):
-            warnings.warn("tail estimate exceeds the classification threshold", RuntimeWarning)
+            warnings.warn("tail estimate exceeds the classification threshold", RegimeWarning)
             raise AssertionError("the warning should have stopped the run")
 
         monkeypatch.setattr(nlslab.checks, "run_case", warning_run_case)
         assert main(["verify"]) == 2
         out = capsys.readouterr().out
-        assert "FAIL  criterion_05_cross_method_agreement: raised RuntimeWarning: tail estimate exceeds" in out
+        assert "FAIL  criterion_05_cross_method_agreement: raised RegimeWarning: tail estimate exceeds" in out
         assert "1 check(s) failed" in out
 
     def test_verify_runs_each_shared_criterion_once(self, capsys, monkeypatch):

@@ -402,10 +402,11 @@ class TestTailWarning:
     @pytest.mark.parametrize("scenario", [SCENARIO_A, SCENARIO_B], ids=["A", "B"])
     def test_stock_scenarios_warn(self, scenario):
         # measured: 7.2e-4 against 2.9e-4 on A, 1.19e-3 against 4.8e-5 on B
-        with pytest.warns(RuntimeWarning, match="beyond T = 400 exceeds the classification threshold") as seen:
+        with pytest.warns(RegimeWarning, match="beyond T = 400 exceeds the classification threshold") as seen:
             case = run_case(scenario)
         r = case.record
         assert r.tail_estimate > r.threshold
+        assert [w.category for w in seen] == [RegimeWarning]
         message = str(seen[0].message)
         assert f"tail estimate {r.tail_estimate:.3g}" in message
         assert f"threshold {r.threshold:.3g}" in message
