@@ -4,18 +4,21 @@ Exit codes: 0 success, 1 validation error (bad usage, unreadable or invalid
 configuration, a table that cannot be written), 2 runtime abort (non-finite
 samples, mass growth, or a failed self-check in `verify`).
 
-`evolve` opens `snapshots.tsv` before the run and writes its blocks after
-it.  With a second core and `fork`, it forks one helper process before the
-run and sends it one stream of states as raw bytes.  When `observers.tsv`
+`mprofile`, `sweep` and `scenario` analyse each case in `run_case`'s own
+forked helper, where there is one.  `evolve` opens `snapshots.tsv` before
+the run and writes its blocks after it.  With a second core and `fork`,
+it forks one helper process before the run and sends it one stream of
+states as raw bytes; the fork decision, the stream and the helper's life
+cycle are `forking`'s, which both helpers share.  When `observers.tsv`
 is wanted, the stream starts with every observer state, sent while the run
 goes on, and the helper runs the trajectory recorder on each; its rows
 come back after the run and this process writes the table.  When
 `snapshots.tsv` is wanted, the stream ends with every other snapshot, sent
 after the run; the helper formats their blocks while this process formats
-the rest and writes them all in order.  On one core, without `fork`, or
-where the cores cannot be counted, this process records and formats
-everything.  Every table is opened through `tables.open_table`, so an
-abort or a failed write removes it.
+the rest and writes them all in order.  On one core, without `fork`,
+where the cores cannot be counted, or inside a daemonic process, this
+process records and formats everything.  Every table is opened through
+`tables.open_table`, so an abort or a failed write removes it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -32,6 +34,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .spectral import SPACE, SimulationAbort, _field_pair
 from .dynamics import SystemState, TrajectoryRecorder, count_steps, evolve, mass, nonlinear_substep  # last: read by perfbench tests
 from .experiments import OrderFit, SweepRecord, _run_inputs, corollary_scenarios, run_case, run_sweep
+from .forking import _StreamHelper, _fork_context
 from .tables import block_formatter, open_table, write_table
 
 USAGE = """\
@@ -60,169 +63,60 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.output_dir
 
 
-def _fork_context():
-    """The `fork` context for `evolve`'s helper process, or None on one core or without fork.
-
-    Where the usable cores cannot be counted (no `os.sched_getaffinity`, as
-    on macOS and Windows) this counts as one core.
-    """
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return None
-    import multiprocessing  # here, not at import, which it would slow
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
 def _snapshot_block(format_block, state) -> str:
     """The `snapshots.tsv` block of one snapshot: (t, x, re u1, im u1, re u2, im u2) per point."""
     pairs = np.stack([state.u1.values, state.u2.values], axis=1)
     return format_block(state.t, pairs.view(np.float64).ravel())
 
 
-def _send_state(fd: int, state) -> None:
-    """Write one state to the helper's stream: t as a complex128, then u1 and u2."""
-    message = (np.complex128(state.t), state.u1.values, state.u2.values)
-    sent = os.writev(fd, message)
-    rest = memoryview(b"".join(message))[sent:] if sent < 16 * (1 + 2 * state.grid.n) else b""
-    while rest:  # a write cut short, as by a signal
-        rest = rest[os.write(fd, rest) :]
-
-
-def _read_state(fd: int, view: memoryview) -> bool:
-    """Fill `view` with the next state from the stream; False once the stream has ended."""
-    got = 0
-    while got < len(view):
-        n = os.readv(fd, [view[got:]])
-        if n == 0:
-            return False
-        got += n
-    return True
-
-
-def _serve(fd, parent_end, conn, grid, recorder, count, format_block) -> None:
-    """The forked helper: record the stream's first `count` states, report, then send the rest's blocks.
+def _record_then_format(states, grid, recorder, count, format_block):
+    """The helper's target: record the stream's first `count` states, then format the rest.
 
     State k < `count` of the stream is evolve's k-th observer state; the
     states after them are the snapshots to format.  A recorder abort is
-    worded as evolve words an observer's, and the states still to record
-    are read and dropped.  The report is the recorder's rows, the warnings
-    it raised and the abort message, if any.
+    worded as evolve words an observer's.  The result is the recorder's
+    rows, and the formatted blocks follow it.
     """
-    os.close(parent_end)  # the stream ends when this process's copy is closed too
-    buf = np.empty(1 + 2 * grid.n, dtype=np.complex128)
-    view = memoryview(buf).cast("B")
-    kept, abort, k = [], None, 0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        while _read_state(fd, view):
-            t = float(buf[0].real)
-            pair = buf[1:].reshape(2, grid.n)
-            if k >= count:
-                kept.append(SystemState(t, *_field_pair(grid, pair.copy(), SPACE)))
-            elif abort is None:
-                try:
-                    recorder(SystemState(t, *_field_pair(grid, pair, SPACE)))
-                except SimulationAbort as err:
-                    abort = f"{err} at step {k}, t = {t}" if k else str(err)
-            k += 1
-    conn.send((recorder.rows if recorder is not None else None, [w.message for w in caught], abort))
-    if abort is None:
-        for state in kept:
-            conn.send_bytes(_snapshot_block(format_block, state).encode())
+    kept = []
+    for k, state in enumerate(states):
+        if k >= count:
+            kept.append(SystemState(state.t, *_field_pair(grid, state.stacked(), SPACE)))
+            continue
+        try:
+            recorder(state)
+        except SimulationAbort as err:
+            if k:
+                raise SimulationAbort(f"{err} at step {k}, t = {state.t}") from err
+            raise
+    rows = recorder.rows if recorder is not None else None
+    return rows, (_snapshot_block(format_block, state).encode() for state in kept)
 
 
-class _Helper:
+class _Helper(_StreamHelper):
     """The one forked helper of an `nlslab evolve` run, started before the run.
 
-    The helper reads one stream of states, sent through a raw pipe.  With a
-    recorder, `observe` is the run's observer: it sends each of the run's
-    `count_steps(schedule) + 1` observer states, and the helper runs the
-    recorder on them.  `finish` then sends the snapshots whose blocks the
-    helper formats, ends the stream and returns the recorder's rows; it
-    re-emits the recorder's warnings here and raises its `SimulationAbort`.
-    `block` then receives each sent snapshot's block text, in order, while
-    this process formats the others.
+    With a recorder, `send` is the run's observer: it sends each of the
+    run's `count_steps(schedule) + 1` observer states, and the helper runs
+    the recorder on them.  The snapshots sent after those are formatted by
+    the helper; `finish` returns the recorder's rows, and `recv_bytes` then
+    gives each sent snapshot's block text, in order, while this process
+    formats the others.
 
     The helper never touches a table.  It is forked after `snapshots.tsv`'s
     header is flushed and before any block is written, so it holds no
-    buffered part of the table, and it ends through multiprocessing's
-    `os._exit`, so it never unwinds the caller's `open_table` block.  An
-    exception that leaves the `with` block kills it.  A helper that dies is
-    an OSError, naming `table` where no open table names it already.
+    buffered part of the table.  A helper that dies is a
+    `ChildProcessError`, naming `table` where no open table names it
+    already.
     """
 
     def __init__(self, ctx, schedule, grid, recorder, format_block, table):
         self._table = table
         count = count_steps(schedule) + 1 if recorder is not None else 0
-        read_end, self._fd = os.pipe()
-        self._conn, sender = ctx.Pipe(duplex=False)
-        try:
-            with contextlib.suppress(ImportError, AttributeError, OSError):
-                import fcntl  # a 1 MiB pipe holds several states, so a send rarely waits
-
-                fcntl.fcntl(self._fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-            args = (read_end, self._fd, sender, grid, recorder, count, format_block)
-            self._proc = ctx.Process(target=_serve, args=args, daemon=True)
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on any fork of a process with threads
-                # (numpy's OpenBLAS pool); the helper calls no threaded code,
-                # so no lock of those threads is used
-                warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-                self._proc.start()
-        except BaseException:
-            os.close(self._fd)
-            self._conn.close()
-            raise
-        finally:
-            os.close(read_end)
-            sender.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-        self._conn.close()
-        if exc_type is not None:
-            self._proc.kill()
-        self._proc.join()
+        super().__init__(ctx, grid, _record_then_format, grid, recorder, count, format_block)
 
     def _died(self) -> OSError:
-        self._proc.join()
-        err = f"helper process exited with code {self._proc.exitcode}"
-        return OSError(err if self._table is None else f"cannot write table {self._table!r}: {err}")
-
-    def observe(self, state) -> None:
-        try:
-            _send_state(self._fd, state)
-        except BrokenPipeError:
-            raise self._died() from None
-
-    def finish(self, to_format):
-        """Send the snapshots `to_format`, end the stream and return the recorder's rows (None without one)."""
-        for state in to_format:
-            self.observe(state)
-        os.close(self._fd)
-        self._fd = None
-        try:
-            rows, caught, abort = self._conn.recv()
-        except EOFError:
-            raise self._died() from None
-        for message in caught:
-            warnings.warn(message, stacklevel=2)
-        if abort is not None:
-            raise SimulationAbort(abort)
-        return rows
-
-    def block(self) -> str:
-        """The next sent snapshot's block text."""
-        try:
-            return self._conn.recv_bytes().decode()
-        except EOFError:
-            raise self._died() from None
+        err = super()._died()
+        return err if self._table is None else ChildProcessError(f"cannot write table {self._table!r}: {err}")
 
 
 def _cmd_evolve(args: list[str]) -> int:
@@ -251,11 +145,14 @@ def _cmd_evolve(args: list[str]) -> int:
             helper = stack.enter_context(
                 _Helper(ctx, schedule, state0.grid, recorder, format_block, None if format_block else observers)
             )
-            snapshots = evolve(state0, schedule, helper.observe if recorder is not None else None)
-            rows = helper.finish(snapshots[1::2] if format_block is not None else ())
+            snapshots = evolve(state0, schedule, helper.send if recorder is not None else None)
+            for state in snapshots[1::2] if format_block is not None else ():
+                helper.send(state)
+            rows = helper.finish()
         if format_block is not None:  # the helper, if any, formats the odd blocks
             for i, state in enumerate(snapshots):
-                fh.write(helper.block() if i % 2 and helper is not None else _snapshot_block(format_block, state))
+                odd = i % 2 and helper is not None
+                fh.write(helper.recv_bytes().decode() if odd else _snapshot_block(format_block, state))
     if recorder is not None:
         write_table(observers, recorder.header, rows)
     final = snapshots[-1]

@@ -377,7 +377,7 @@ def count_steps(schedule: Schedule) -> int:
     return sum(nsteps for _, _, nsteps, _ in schedule.plan)
 
 
-def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[SystemState]:
+def evolve(state0: SystemState, schedule: Schedule, observer=None, on_snapshot=None) -> list[SystemState]:
     """Integrate from state0 along `schedule.plan`, returning the snapshots.
 
     state0 is the first snapshot, at t = 0.  Runs are deterministic:
@@ -394,11 +394,14 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
     bitwise the same snapshots as one without.
 
     The observer is called once with state0 and once after every step.
-    Initial data whose masses overflow abort as step 0, before the
-    observer sees them.  After every substep the masses are checked; the
-    run aborts if a component's mass grows by more than 1e-10 of the
-    initial total or any sample goes non-finite, and every abort in the
-    loop names the step index and the time it ended at.
+    `on_snapshot` is called once with state0 and then with each snapshot as
+    it is appended, so a caller may process the snapshots while the run
+    goes on; like the observer, it never changes the run.  Initial data
+    whose masses overflow abort as step 0, before either sees them.  After
+    every substep the masses are checked; the run aborts if a component's
+    mass grows by more than 1e-10 of the initial total or any sample goes
+    non-finite, and every abort in the loop names the step index and the
+    time it ended at.
     """
     if state0.t > TIME_TOL:
         raise ValueError("initial state time must match the first snapshot time")
@@ -414,6 +417,8 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
     snapshots = [state0]
     if observer is not None:
         observer(state0)
+    if on_snapshot is not None:
+        on_snapshot(state0)
 
     step = 0
     for t_a, t_b, nsteps, h in schedule.plan:
@@ -453,4 +458,6 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None) -> list[Syste
             if not last:
                 spec *= full
         snapshots.append(state)
+        if on_snapshot is not None:
+            on_snapshot(state)
     return snapshots

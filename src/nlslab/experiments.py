@@ -15,6 +15,12 @@ exponents:
 Defaults keep eps <= 0.2: the analysis is perturbative and the fits
 degrade at larger amplitudes, while much smaller eps pushes the quartic
 remainder under the quadrature floor.
+
+A case's analysis runs on a second core where it can.  With two usable
+cores and `fork`, and outside a daemonic process such as a pool worker,
+`run_case` forks one helper before the run (`forking`), and the helper
+analyses each snapshot as `evolve` appends it.  Otherwise the analysis
+follows the run in this process.  Both give bitwise the same `CaseResult`.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from .dynamics import (
     make_schedule,
     mass,
 )
+from .forking import _StreamHelper, _fork_context
 from .scattering import (
     MProfile,
     SpectralSnapshot,
@@ -220,6 +227,41 @@ def theorem_defect(
     return float(np.max(dev[band], initial=0.0))
 
 
+def _fold_snapshot(run: _AnchoredPass, monitors: np.ndarray, i: int, state: SystemState) -> None:
+    """Fold snapshot i into `run`; column i of `monitors` gets its masses, alpha2 norm and orthogonality defect."""
+    snap = run.add(state)
+    monitors[:, i] = mass(state.u1), mass(state.u2), l2_norm(snap.alpha2), orthogonality_defect(snap)
+
+
+def _analyse_stream(states, times):
+    """The analysis helper's target: `run_case`'s pass over the snapshots it is sent."""
+    run, monitors = _AnchoredPass(times), np.empty((4, len(times)))
+    for i, state in enumerate(states):
+        _fold_snapshot(run, monitors, i, state)
+    return (run.state(), monitors), ()
+
+
+def _evolve_and_analyse(run: _AnchoredPass, state0: SystemState, schedule: Schedule):
+    """The run's snapshots, folded into `run`, and their (4, k) monitors, one column per snapshot.
+
+    With a helper process (`forking._fork_context`), the helper folds each
+    snapshot as `evolve` appends it, and `run` takes on the helper's pass
+    after the run.  Otherwise the pass follows the run in this process.
+    """
+    ctx = _fork_context()
+    if ctx is None:
+        states = evolve(state0, schedule)
+        monitors = np.empty((4, len(states)))
+        for i, state in enumerate(states):
+            _fold_snapshot(run, monitors, i, state)
+        return states, monitors
+    with _StreamHelper(ctx, state0.grid, _analyse_stream, schedule.times) as helper:
+        states = evolve(state0, schedule, on_snapshot=helper.send)
+        kept, monitors = helper.finish()
+    run.restore(state0.grid, kept)
+    return states, monitors
+
+
 def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     """Evolve one configuration and compute all scattering outputs.
 
@@ -242,6 +284,17 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     below the tiny floor is replaced by the floor, which cuts tags the
     relative threshold would keep; it raises a `RegimeWarning` naming eps,
     T and both thresholds.
+
+    The pass runs in one forked helper where `forking._fork_context` allows
+    it, fed each snapshot as `evolve` appends it.  After the run this
+    process rebuilds what the helper kept through the same constructors, so
+    the result is bitwise the in-process one, read-only flags included.
+    The helper's abort is raised here with its wording and time, unless
+    `evolve` aborts, which wins as it does in-process; its warnings are
+    re-emitted here, each once; and a helper that dies raises
+    `ChildProcessError` naming its exit code.  On one core, without `fork`
+    or `os.sched_getaffinity`, or inside a daemonic process, the pass
+    follows the run in this process.
     """
     eps = cfg.epsilon_single() if epsilon is None else float(epsilon)
     if cfg.t_final < T_ANCHOR:
@@ -252,12 +305,7 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     psi2_hat = forward_ft(psi2)
     band = resolved_band(psi1_hat, psi2_hat)
 
-    states = evolve(state0, schedule)
-    monitors = np.empty((4, len(states)))
-    for i, s in enumerate(states):
-        snap = run.add(s)
-        monitors[:, i] = mass(s.u1), mass(s.u2), l2_norm(snap.alpha2), orthogonality_defect(snap)
-    mass1s, mass2s, alpha2_norms, orth_defects = monitors
+    states, (mass1s, mass2s, alpha2_norms, orth_defects) = _evolve_and_analyse(run, state0, schedule)
 
     m_int = run.profile()
     m_end = m_endpoint(run.last)

@@ -14,6 +14,19 @@ settings.load_profile("nlslab")
 from nlslab import ComplexField, SPACE, gaussian_profile, make_grid, zero_field
 
 
+def pin_writer(monkeypatch, writer):
+    """Choose the forked or the in-process path through the core count `forking._fork_context` reads.
+
+    "forked" shows two cores, "in-process" one, and "no-affinity" removes
+    `os.sched_getaffinity`, as on macOS and Windows.
+    """
+    if writer == "no-affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        return
+    cores = {0, 1} if writer == "forked" else {0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+
+
 @pytest.fixture
 def full_disk(monkeypatch):
     """full_disk(module): tables `module` opens through `open_table` fill the disk.

@@ -22,6 +22,7 @@ from nlslab import (
 )
 import nlslab.checks
 import nlslab.cli
+from conftest import pin_writer
 from nlslab.cli import main
 from nlslab.tables import read_table, write_table
 
@@ -55,22 +56,16 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path), str(out)
 
 
-def pin_writer(monkeypatch, writer):
-    """Choose the snapshots.tsv writer through the core count `nlslab evolve` reads.
-
-    "no-affinity" removes `os.sched_getaffinity`, as on macOS and Windows.
-    """
-    if writer == "no-affinity":
-        monkeypatch.delattr(nlslab.cli.os, "sched_getaffinity")
-        return
-    cores = {0, 1} if writer == "forked" else {0}
-    monkeypatch.setattr(nlslab.cli.os, "sched_getaffinity", lambda pid: cores)
-
-
 @pytest.fixture(params=["forked", "in-process"])
 def writer(request, monkeypatch):
     pin_writer(monkeypatch, request.param)
     return request.param
+
+
+def _evolve_tables(cfg, out):
+    """`nlslab evolve`'s exit code and every table it wrote, by name."""
+    code = main(["evolve", cfg])
+    return code, {name: open(os.path.join(out, name), "rb").read() for name in sorted(os.listdir(out))}
 
 
 class TestDispatch:
@@ -105,7 +100,7 @@ class TestDispatch:
         assert "runtime abort" in capsys.readouterr().err
 
     def test_import_loads_neither_multiprocessing_nor_checks(self):
-        # both are imported where they are used: `evolve`'s helper and
+        # both are imported where they are used: the forked helpers and
         # `verify`; every command, and every importer, would pay for them
         src = os.path.dirname(os.path.dirname(nlslab.cli.__file__))
         code = "import sys, nlslab.cli; print(sorted({'multiprocessing', 'nlslab.checks'} & set(sys.modules)))"
@@ -428,6 +423,18 @@ class TestEvolveCommand:
         assert multiprocessing.active_children() == []
         assert os.listdir(out) == []
 
+    def test_evolve_in_a_daemonic_worker_writes_the_in_process_tables(self, tmp_path, monkeypatch, capsys):
+        # a daemonic process may have no children: a pool worker that sees
+        # two cores runs evolve in-process instead of forking its helper
+        pin_writer(monkeypatch, "forked")
+        (tmp_path / "worker").mkdir()
+        (tmp_path / "here").mkdir()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply(_evolve_tables, write_cfg(tmp_path / "worker", TINY))
+        pin_writer(monkeypatch, "in-process")
+        assert in_worker == _evolve_tables(*write_cfg(tmp_path / "here", TINY))
+        assert sorted(in_worker[1]) == ["observers.tsv", "snapshots.tsv"]
+
     def test_failed_block_write_is_a_write_error(self, tmp_path, capsys, writer, full_disk):
         full_disk(nlslab.cli)
         cfg, out = write_cfg(tmp_path, TINY)
@@ -503,6 +510,23 @@ class TestMProfileCommand:
         header2, rows2 = read_table(os.path.join(out, "classification.tsv"))
         assert header2 == ["xi", "m_endpoint", "tag"]
         assert set(np.unique(rows2[:, 2])) <= {-1.0, 0.0, 1.0}
+
+    def test_analysis_helper_that_dies_exits_1(self, tmp_path, monkeypatch, capsys):
+        here = os.getpid()
+        real_rho_row = nlslab.scattering._rho_row
+
+        def dying_rho_row(grid, t, spec):
+            if os.getpid() != here:
+                os._exit(3)
+            return real_rho_row(grid, t, spec)
+
+        monkeypatch.setattr(nlslab.scattering, "_rho_row", dying_rho_row)
+        pin_writer(monkeypatch, "forked")
+        cfg, out = write_cfg(tmp_path, TINY)
+        assert main(["mprofile", cfg]) == 1
+        assert capsys.readouterr().err == "error: helper process exited with code 3\n"
+        assert multiprocessing.active_children() == []
+        assert not os.path.exists(out)  # made only after the run
 
     def test_failed_profile_write_leaves_no_table(self, tmp_path, capsys, full_disk):
         full_disk(nlslab.tables)
@@ -620,8 +644,9 @@ class TestScenarioCommand:
 
 
 class TestDeterminism:
-    def test_tables_are_bitwise_reproducible(self, tmp_path, capsys):
-        # every table of mprofile, sweep and scenario B, written twice
+    def test_tables_are_bitwise_reproducible(self, tmp_path, monkeypatch, capsys):
+        # every table of mprofile, sweep and scenario B, written twice, and
+        # once more with the analysis in this process
         def tables(run):
             (tmp_path / run).mkdir()
             single, out = write_cfg(tmp_path / run, TINY, "single.cfg")
@@ -630,7 +655,12 @@ class TestDeterminism:
                 assert main(args) == 0
             return {name: open(os.path.join(out, name), "rb").read() for name in sorted(os.listdir(out))}
 
+        pin_writer(monkeypatch, "forked")
         first = tables("first")
+        with monkeypatch.context() as pinned:
+            # the analysis helper and this process write the same bytes
+            pin_writer(pinned, "in-process")
+            assert tables("in-process") == first
         assert sorted(first) == [
             "classification.tsv",
             "mprofile.tsv",

@@ -1,9 +1,11 @@
+import multiprocessing
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 from nlslab import (
     AprioriReport,
@@ -12,6 +14,7 @@ from nlslab import (
     ProfileSpec,
     SCENARIO_A,
     SCENARIO_B,
+    SimulationAbort,
     TrajectoryRecorder,
     apriori_diagnostics,
     build_profile,
@@ -37,8 +40,10 @@ from nlslab import (
     theorem_defect,
     zero_field,
 )
+from nlslab import experiments, forking, scattering
 from nlslab.experiments import _run_inputs
 from nlslab.scattering import _anchor_index
+from conftest import pin_writer
 
 TINY_CFG = RunConfig(grid_n=256, grid_length=32.0, dt=0.01, t_final=20.0)
 
@@ -209,7 +214,9 @@ class TestRunCase:
         assert np.array_equal(case.m_int.m_values, m_int.m_values)
         assert np.array_equal(case.m_int.tail_estimate, m_int.tail_estimate)
 
-    def test_analysis_memory_does_not_grow_with_snapshot_count(self):
+    def test_analysis_memory_does_not_grow_with_snapshot_count(self, monkeypatch):
+        # tracemalloc sees this process only, so the analysis runs here
+        pin_writer(monkeypatch, "in-process")
         # peak traced memory of run_case beyond what evolve's returned
         # snapshots hold, in complex fields of n: 105 at 27 snapshots and
         # 432 at 119 when every amplitude pair and rho row was kept, 22 to 25
@@ -252,6 +259,206 @@ class TestRunCase:
         assert l2_norm(half[0].u1) == pytest.approx(0.5 * l2_norm(full[0].u1), rel=1e-14)
         for s_full, s_half in zip(full, half):
             assert abs(l2_norm(s_half.u1) - 0.5 * l2_norm(s_full.u1)) < 0.05 * l2_norm(s_half.u1)
+
+
+def _case_arrays(case) -> dict:
+    """Every array field of a CaseResult, by name: dtype, shape, writeable flag and bytes; the record's floats."""
+    arrays = {
+        "psi1_hat": case.psi1_hat.values,
+        "psi2_hat": case.psi2_hat.values,
+        "band": case.band,
+        "mass1_seq": case.mass1_seq,
+        "mass2_seq": case.mass2_seq,
+        "alpha2_norm_seq": case.alpha2_norm_seq,
+        "orth_defect_seq": case.orth_defect_seq,
+        "m_end": case.m_end.m_values,
+        "m_int": case.m_int.m_values,
+        "m_int.tail_estimate": case.m_int.tail_estimate,
+    }
+    for name in ("anchor_amplitudes", "final_amplitudes"):
+        snap = getattr(case, name)
+        arrays[f"{name}.alpha1"], arrays[f"{name}.alpha2"] = snap.alpha1.values, snap.alpha2.values
+    for i, state in enumerate(case.states):
+        arrays[f"states[{i}].u1"], arrays[f"states[{i}].u2"] = state.u1.values, state.u2.values
+    out = {name: (a.dtype.str, a.shape, a.flags.writeable, a.tobytes()) for name, a in arrays.items()}
+    times = [s.t for s in (case.anchor_amplitudes, case.final_amplitudes, *case.states)]
+    out["times"] = np.array(times).tobytes()
+    out["record"] = np.array(astuple(case.record), dtype=np.float64).tobytes()
+    return out
+
+
+def _case_arrays_of_run(cfg) -> dict:
+    return _case_arrays(run_case(cfg))
+
+
+class TestForkedAnalysis:
+    """`run_case` with its analysis in a forked helper, against the same run in this process."""
+
+    SILENT = replace(SCENARIO_B, grid_n=256, grid_length=64.0, t_final=20.0, epsilons=(0.0,))
+
+    @staticmethod
+    def both_paths(monkeypatch, run):
+        """run() on the forked path, then in this process; no child is left after either."""
+        results = {}
+        for path in ("forked", "in-process"):
+            with monkeypatch.context() as pinned:
+                pin_writer(pinned, path)
+                results[path] = run()
+            assert multiprocessing.active_children() == []
+        return results["forked"], results["in-process"]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TINY_CFG,
+            replace(SCENARIO_A, grid_n=512, grid_length=128.0, t_final=20.0),
+            replace(SCENARIO_B, grid_n=512, grid_length=128.0, t_final=20.0),
+        ],
+        ids=["tiny", "A", "B"],
+    )
+    def test_case_result_is_bitwise_the_in_process_one(self, monkeypatch, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)  # T = 20 leaves a tail above threshold
+            forked, here = self.both_paths(monkeypatch, lambda: _case_arrays_of_run(cfg))
+        assert forked == here
+        # amplitudes and profiles are frozen on both paths; the monitors are not
+        assert not here["anchor_amplitudes.alpha1"][2] and not here["m_int.tail_estimate"][2]
+        assert here["mass1_seq"][2]
+
+    def test_component_swap_is_bitwise_on_the_forked_path(self, monkeypatch):
+        pin_writer(monkeypatch, "forked")
+        base = replace(TINY_CFG, epsilons=(0.2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            fwd = run_case(replace(base, psi1=ProfileSpec(amplitude=1.0), psi2=ProfileSpec(amplitude=0.5)))
+            rev = run_case(replace(base, psi1=ProfileSpec(amplitude=0.5), psi2=ProfileSpec(amplitude=1.0)))
+        for a, b in (
+            (fwd.mass1_seq, rev.mass2_seq),
+            (fwd.mass2_seq, rev.mass1_seq),
+            (fwd.orth_defect_seq, rev.orth_defect_seq),
+            (fwd.m_end.m_values, -rev.m_end.m_values),
+            (fwd.m_int.m_values, -rev.m_int.m_values),
+            (fwd.m_int.tail_estimate, rev.m_int.tail_estimate),
+            (fwd.anchor_amplitudes.alpha1.values, rev.anchor_amplitudes.alpha2.values),
+            (fwd.final_amplitudes.alpha2.values, rev.final_amplitudes.alpha1.values),
+        ):
+            assert a.tobytes() == b.tobytes()
+
+    def test_helper_abort_reads_as_in_process(self, monkeypatch):
+        here = os.getpid()
+        real_rho_row = scattering._rho_row
+
+        def aborting_rho_row(grid, t, spec):
+            if t > 3.5:
+                raise SimulationAbort(f"injected in {'this process' if os.getpid() == here else 'the helper'} at t = {t}")
+            return real_rho_row(grid, t, spec)
+
+        monkeypatch.setattr(scattering, "_rho_row", aborting_rho_row)
+
+        def abort_message():
+            with pytest.raises(SimulationAbort) as err:
+                run_case(self.SILENT)
+            return str(err.value)
+
+        forked, here_message = self.both_paths(monkeypatch, abort_message)
+        assert forked == "injected in the helper at t = 4.0"  # the first snapshot past 3.5
+        assert forked.replace("the helper", "this process") == here_message
+
+    def test_evolve_abort_wins_over_a_helper_abort(self, monkeypatch):
+        def failing_rho_row(grid, t, spec):
+            raise SimulationAbort("analysis abort")
+
+        def evolve_then_abort(*args, **kwargs):
+            evolve(*args, **kwargs)
+            raise SimulationAbort("evolve abort")
+
+        monkeypatch.setattr(scattering, "_rho_row", failing_rho_row)
+        monkeypatch.setattr(experiments, "evolve", evolve_then_abort)
+
+        def abort_message():
+            with pytest.raises(SimulationAbort) as err:
+                run_case(self.SILENT)
+            return str(err.value)
+
+        assert self.both_paths(monkeypatch, abort_message) == ("evolve abort", "evolve abort")
+
+    def test_numpy_warning_in_the_helper_is_emitted_here_once(self, monkeypatch):
+        real_rho_row = scattering._rho_row
+
+        def overflowing_rho_row(grid, t, spec):
+            if t > 3.5:
+                np.float64(1e308) * np.float64(10.0)
+            return real_rho_row(grid, t, spec)
+
+        monkeypatch.setattr(scattering, "_rho_row", overflowing_rho_row)
+
+        def caught():
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                case = run_case(self.SILENT)
+            return [(w.category, str(w.message)) for w in seen], case.schedule.times
+
+        (forked, times), (here, _) = self.both_paths(monkeypatch, caught)
+        assert forked == here == [(RuntimeWarning, "overflow encountered in scalar multiply")] * int(np.sum(times > 3.5))
+
+    def test_helper_that_dies_is_a_child_process_error(self, monkeypatch):
+        here = os.getpid()
+        real_rho_row = scattering._rho_row
+
+        def dying_rho_row(grid, t, spec):
+            if os.getpid() != here and t > 3.5:
+                os._exit(3)
+            return real_rho_row(grid, t, spec)
+
+        monkeypatch.setattr(scattering, "_rho_row", dying_rho_row)
+        pin_writer(monkeypatch, "forked")
+        with pytest.raises(ChildProcessError, match="^helper process exited with code 3$"):
+            run_case(self.SILENT)
+        assert multiprocessing.active_children() == []
+
+    def test_forking_warns_of_nothing(self, monkeypatch):
+        # Python 3.12+ warns on every fork of a process with threads, such
+        # as numpy's OpenBLAS pool; here every version's fork warns so
+        real_fork = os.fork
+
+        def fork_warning_of_threads():
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_warning_of_threads)
+        pin_writer(monkeypatch, "forked")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_case(self.SILENT)
+        assert multiprocessing.active_children() == []
+
+    def test_helper_ends_when_its_caller_is_gone(self, monkeypatch):
+        # a report larger than a pipe holds fails to send once the caller's
+        # end is closed, so the helper of a killed process does not block
+        pin_writer(monkeypatch, "forked")
+        helper = forking._StreamHelper(forking._fork_context(), make_grid(16, 8.0), lambda states: (np.zeros(1 << 17), ()))
+        try:
+            helper._conn.close()
+            os.close(helper._fd)
+            helper._fd = None
+            helper._proc.join(timeout=30)
+            assert helper._proc.exitcode == 1
+        finally:
+            helper._proc.kill()
+            helper._proc.join()
+
+    def test_daemonic_worker_runs_the_analysis_in_process(self, monkeypatch):
+        # a daemonic process may have no children: a pool worker that sees
+        # two cores runs the analysis itself instead of forking a helper
+        pin_writer(monkeypatch, "forked")
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply(_case_arrays_of_run, (self.SILENT,))
+        pin_writer(monkeypatch, "in-process")
+        assert in_worker == _case_arrays_of_run(self.SILENT)
 
 
 class TestDefectHelpers:

@@ -1,3 +1,5 @@
+import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from nlslab import (
 from nlslab import dynamics, experiments, scattering, spectral
 from nlslab.config import SCENARIO_A, SCENARIO_B
 from nlslab.spectral import SPACE, ComplexField, free_propagate
+from conftest import pin_writer
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,7 @@ class TestClosedForm:
                 run.add(SystemState(3.0, big, big))
 
     def test_run_case_transforms_each_snapshot_once(self, monkeypatch):
+        pin_writer(monkeypatch, "in-process")  # the analysis runs, and is logged, here
         transforms = _TransformLog(monkeypatch)
         propagate_calls = []
         real_propagate = spectral.free_propagate
@@ -170,6 +174,33 @@ class TestClosedForm:
         transforms.assert_one_call_per_state(case.states, anchor=1)
         assert propagate_calls == []
 
+    def test_forked_run_case_transforms_each_snapshot_once_in_the_helper(self, monkeypatch, tmp_path):
+        # the helper receives each snapshot once, in order, and transforms it
+        # once; the log is a file, since the helper's memory is its own
+        pin_writer(monkeypatch, "forked")
+        log = tmp_path / "transforms"
+        here = os.getpid()
+
+        def logged(name, real):
+            def call(a, *args, **kwargs):
+                if os.getpid() != here:
+                    rows = np.atleast_2d(a)
+                    with open(log, "a") as fh:
+                        fh.write(f"{os.getpid()} {name} {rows.shape[0]} {_digest(rows[:2])}\n")
+                return real(a, *args, **kwargs)
+
+            return call
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, logged(name, getattr(np.fft, name)))
+        cfg = replace(SCENARIO_B, grid_n=512, grid_length=64.0, t_final=20.0)
+        case = experiments.run_case(cfg)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert len({pid for pid, *_ in calls}) == 1
+        assert [s.t for s in case.states][:2] == [0.0, 2.0]
+        expected = [("fft", "2" if i < 1 else "4", _digest(s.stacked())) for i, s in enumerate(case.states)]
+        assert [tuple(call[1:]) for call in calls] == expected
+
     def test_m_integral_transforms_once_from_the_anchor_on(self, coupled_run, monkeypatch):
         _, _, snaps = coupled_run
         transforms = _TransformLog(monkeypatch)
@@ -178,6 +209,10 @@ class TestClosedForm:
         m_integral(snaps)
         # once per snapshot from the anchor on, and never for t = 0 before it
         transforms.assert_one_call_per_state(snaps[1:], anchor=0)
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest()
 
 
 class _TransformLog:
