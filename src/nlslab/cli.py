@@ -4,21 +4,18 @@ Exit codes: 0 success, 1 validation error (bad usage, unreadable or invalid
 configuration, a table that cannot be written), 2 runtime abort (non-finite
 samples, mass growth, or a failed self-check in `verify`).
 
-`mprofile`, `sweep` and `scenario` analyse each case in `run_case`'s own
-forked helper, where there is one.  `evolve` opens `snapshots.tsv` before
-the run and writes its blocks after it.  With a second core and `fork`,
-it forks one helper process before the run and sends it one stream of
-states as raw bytes; the fork decision, the stream and the helper's life
-cycle are `forking`'s, which both helpers share.  When `observers.tsv`
-is wanted, the stream starts with every observer state, sent while the run
-goes on, and the helper runs the trajectory recorder on each; its rows
-come back after the run and this process writes the table.  When
-`snapshots.tsv` is wanted, the stream ends with every other snapshot, sent
-after the run; the helper formats their blocks while this process formats
-the rest and writes them all in order.  On one core, without `fork`,
-where the cores cannot be counted, or inside a daemonic process, this
-process records and formats everything.  Every table is opened through
-`tables.open_table`, so an abort or a failed write removes it.
+`mprofile`, `sweep` and `scenario` analyse each case through `run_case`,
+whose pass over the snapshots is a `forking` sink.  `evolve` opens
+`snapshots.tsv` before the run and writes its blocks after it.  Its side
+work is one sink too, `_EvolveSink`, which `forking.side` runs in a forked
+helper where it can and in this process otherwise.  When `observers.tsv`
+is wanted, the sink is sent every observer state while the run goes on and
+runs the trajectory recorder on each; its rows come back after the run and
+this process writes the table.  When `snapshots.tsv` is wanted, the sink
+is then sent every other snapshot and formats their blocks, while this
+process formats the rest and writes them all in order.  A run with neither
+forks nothing.  Every table is opened through `tables.open_table`, so an
+abort or a failed write removes it.
 """
 
 from __future__ import annotations
@@ -31,10 +28,10 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .spectral import SPACE, SimulationAbort, _field_pair
-from .dynamics import SystemState, TrajectoryRecorder, count_steps, evolve, mass, nonlinear_substep  # last: read by perfbench tests
+from .spectral import SimulationAbort
+from .dynamics import TrajectoryRecorder, count_steps, evolve, mass, nonlinear_substep  # last: read by perfbench tests
 from .experiments import OrderFit, SweepRecord, _run_inputs, corollary_scenarios, run_case, run_sweep
-from .forking import _StreamHelper, _fork_context
+from .forking import side
 from .tables import block_formatter, open_table, write_table
 
 USAGE = """\
@@ -69,54 +66,34 @@ def _snapshot_block(format_block, state) -> str:
     return format_block(state.t, pairs.view(np.float64).ravel())
 
 
-def _record_then_format(states, grid, recorder, count, format_block):
-    """The helper's target: record the stream's first `count` states, then format the rest.
+class _EvolveSink:
+    """`nlslab evolve`'s side work: the recorder on each observer state, then the snapshots after them to format.
 
-    State k < `count` of the stream is evolve's k-th observer state; the
-    states after them are the snapshots to format.  A recorder abort is
-    worded as evolve words an observer's.  The result is the recorder's
-    rows, and the formatted blocks follow it.
+    With a recorder, state k < `count_steps(schedule) + 1` is evolve's k-th
+    observer state.  A recorder abort is worded as evolve words an
+    observer's.  The result is the recorder's rows, and the kept snapshots'
+    blocks follow it.
     """
-    kept = []
-    for k, state in enumerate(states):
-        if k >= count:
-            kept.append(SystemState(state.t, *_field_pair(grid, state.stacked(), SPACE)))
-            continue
+
+    def __init__(self, recorder, schedule, format_block):
+        self.recorder, self.format_block = recorder, format_block
+        self.count = count_steps(schedule) + 1 if recorder is not None else 0
+        self.sent, self.kept = 0, []
+
+    def add(self, state) -> None:
+        k, self.sent = self.sent, self.sent + 1
+        if k >= self.count:
+            self.kept.append(state)
+            return
         try:
-            recorder(state)
+            self.recorder(state)
         except SimulationAbort as err:
             if k:
                 raise SimulationAbort(f"{err} at step {k}, t = {state.t}") from err
             raise
-    rows = recorder.rows if recorder is not None else None
-    return rows, (_snapshot_block(format_block, state).encode() for state in kept)
 
-
-class _Helper(_StreamHelper):
-    """The one forked helper of an `nlslab evolve` run, started before the run.
-
-    With a recorder, `send` is the run's observer: it sends each of the
-    run's `count_steps(schedule) + 1` observer states, and the helper runs
-    the recorder on them.  The snapshots sent after those are formatted by
-    the helper; `finish` returns the recorder's rows, and `recv_bytes` then
-    gives each sent snapshot's block text, in order, while this process
-    formats the others.
-
-    The helper never touches a table.  It is forked after `snapshots.tsv`'s
-    header is flushed and before any block is written, so it holds no
-    buffered part of the table.  A helper that dies is a
-    `ChildProcessError`, naming `table` where no open table names it
-    already.
-    """
-
-    def __init__(self, ctx, schedule, grid, recorder, format_block, table):
-        self._table = table
-        count = count_steps(schedule) + 1 if recorder is not None else 0
-        super().__init__(ctx, grid, _record_then_format, grid, recorder, count, format_block)
-
-    def _died(self) -> OSError:
-        err = super()._died()
-        return err if self._table is None else ChildProcessError(f"cannot write table {self._table!r}: {err}")
+    def result(self):
+        return getattr(self.recorder, "rows", None), (_snapshot_block(self.format_block, s) for s in self.kept)
 
 
 def _cmd_evolve(args: list[str]) -> int:
@@ -135,24 +112,19 @@ def _cmd_evolve(args: list[str]) -> int:
             fh = stack.enter_context(
                 open_table(os.path.join(out, "snapshots.tsv"), ["t", "x", "re_u1", "im_u1", "re_u2", "im_u2"])
             )
+        # a helper process pays only for a recorder or an odd block to format
         helped = recorder is not None or (format_block is not None and len(schedule.snapshot_steps) >= 2)
-        ctx = _fork_context() if helped else None
-        if ctx is None:
-            helper = None
-            snapshots = evolve(state0, schedule, recorder)
-            rows = recorder.rows if recorder is not None else None
-        else:
-            helper = stack.enter_context(
-                _Helper(ctx, schedule, state0.grid, recorder, format_block, None if format_block else observers)
-            )
-            snapshots = evolve(state0, schedule, helper.send if recorder is not None else None)
-            for state in snapshots[1::2] if format_block is not None else ():
-                helper.send(state)
-            rows = helper.finish()
-        if format_block is not None:  # the helper, if any, formats the odd blocks
+        sink = _EvolveSink(recorder, schedule, format_block)
+        # forked after the header is flushed and before any block is
+        # written, so a helper holds no buffered part of the table
+        helper = stack.enter_context(side(state0.grid, sink, helped, None if format_block else observers))
+        snapshots = evolve(state0, schedule, helper.send if recorder is not None else None)
+        for state in snapshots[1::2] if format_block is not None else ():
+            helper.send(state)
+        rows = helper.finish()
+        if format_block is not None:  # the sink formats the odd blocks
             for i, state in enumerate(snapshots):
-                odd = i % 2 and helper is not None
-                fh.write(helper.recv_bytes().decode() if odd else _snapshot_block(format_block, state))
+                fh.write(helper.next_block() if i % 2 else _snapshot_block(format_block, state))
     if recorder is not None:
         write_table(observers, recorder.header, rows)
     final = snapshots[-1]

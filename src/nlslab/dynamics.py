@@ -399,9 +399,9 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None, on_snapshot=N
     goes on; like the observer, it never changes the run.  Initial data
     whose masses overflow abort as step 0, before either sees them.  After
     every substep the masses are checked; the run aborts if a component's
-    mass grows by more than 1e-10 of the initial total or any sample goes
-    non-finite, and every abort in the loop names the step index and the
-    time it ended at.
+    mass grows by more than 1e-10 of the initial total plus 4 L 2^-1074
+    (for subnormal masses) or any sample goes non-finite, and every abort
+    in the loop names the step index and the time it ended at.
     """
     if state0.t > TIME_TOL:
         raise ValueError("initial state time must match the first snapshot time")
@@ -411,7 +411,9 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None, on_snapshot=N
         m1, m2 = _squared_norms(u0, g.dx).tolist()
     if not (math.isfinite(m1) and math.isfinite(m2)):
         raise SimulationAbort(f"non-finite initial masses ({m1}, {m2}) at step 0, t = {state0.t:g}")
-    tol = 1e-10 * (m1 + m2)
+    # 1e-10 of a subnormal total underflows; there a mass's 2n squares round by
+    # at most 2^-1075 each and sum exactly, so it is off by at most L 2^-1074
+    tol = 1e-10 * (m1 + m2) + 4.0 * g.length * math.ulp(0.0)
     spec = np.fft.fft(u0)
     work = np.empty_like(spec)
     snapshots = [state0]

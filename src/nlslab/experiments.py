@@ -16,11 +16,11 @@ Defaults keep eps <= 0.2: the analysis is perturbative and the fits
 degrade at larger amplitudes, while much smaller eps pushes the quartic
 remainder under the quadrature floor.
 
-A case's analysis runs on a second core where it can.  With two usable
-cores and `fork`, and outside a daemonic process such as a pool worker,
-`run_case` forks one helper before the run (`forking`), and the helper
-analyses each snapshot as `evolve` appends it.  Otherwise the analysis
-follows the run in this process.  Both give bitwise the same `CaseResult`.
+A case's analysis is one pass over its snapshots, fed each one as `evolve`
+appends it, through `forking.side`: in a helper on a second core where it
+can fork one (two usable cores and `fork`, outside a daemonic process such
+as a pool worker), else in this process.  Both give bitwise the same
+`CaseResult`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .dynamics import (
     make_schedule,
     mass,
 )
-from .forking import _StreamHelper, _fork_context
+from .forking import side
 from .scattering import (
     MProfile,
     SpectralSnapshot,
@@ -227,39 +227,27 @@ def theorem_defect(
     return float(np.max(dev[band], initial=0.0))
 
 
-def _fold_snapshot(run: _AnchoredPass, monitors: np.ndarray, i: int, state: SystemState) -> None:
-    """Fold snapshot i into `run`; column i of `monitors` gets its masses, alpha2 norm and orthogonality defect."""
-    snap = run.add(state)
-    monitors[:, i] = mass(state.u1), mass(state.u2), l2_norm(snap.alpha2), orthogonality_defect(snap)
+class _CasePass:
+    """`run_case`'s sink: the anchored route's pass over every snapshot, with four monitors per snapshot.
 
-
-def _analyse_stream(states, times):
-    """The analysis helper's target: `run_case`'s pass over the snapshots it is sent."""
-    run, monitors = _AnchoredPass(times), np.empty((4, len(times)))
-    for i, state in enumerate(states):
-        _fold_snapshot(run, monitors, i, state)
-    return (run.state(), monitors), ()
-
-
-def _evolve_and_analyse(run: _AnchoredPass, state0: SystemState, schedule: Schedule):
-    """The run's snapshots, folded into `run`, and their (4, k) monitors, one column per snapshot.
-
-    With a helper process (`forking._fork_context`), the helper folds each
-    snapshot as `evolve` appends it, and `run` takes on the helper's pass
-    after the run.  Otherwise the pass follows the run in this process.
+    `add` folds each snapshot into `run` (`scattering._AnchoredPass`) and
+    fills its column of `monitors`: both masses, the alpha2 norm and the
+    orthogonality defect.  The sink is its own result, which a helper
+    pickles back whole.
     """
-    ctx = _fork_context()
-    if ctx is None:
-        states = evolve(state0, schedule)
-        monitors = np.empty((4, len(states)))
-        for i, state in enumerate(states):
-            _fold_snapshot(run, monitors, i, state)
-        return states, monitors
-    with _StreamHelper(ctx, state0.grid, _analyse_stream, schedule.times) as helper:
-        states = evolve(state0, schedule, on_snapshot=helper.send)
-        kept, monitors = helper.finish()
-    run.restore(state0.grid, kept)
-    return states, monitors
+
+    def __init__(self, times):
+        self.run = _AnchoredPass(times)
+        self.monitors = np.empty((4, len(times)))
+        self.added = 0
+
+    def add(self, state: SystemState) -> None:
+        snap = self.run.add(state)
+        self.monitors[:, self.added] = mass(state.u1), mass(state.u2), l2_norm(snap.alpha2), orthogonality_defect(snap)
+        self.added += 1
+
+    def result(self):
+        return self, ()
 
 
 def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
@@ -285,27 +273,27 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     relative threshold would keep; it raises a `RegimeWarning` naming eps,
     T and both thresholds.
 
-    The pass runs in one forked helper where `forking._fork_context` allows
-    it, fed each snapshot as `evolve` appends it.  After the run this
-    process rebuilds what the helper kept through the same constructors, so
-    the result is bitwise the in-process one, read-only flags included.
-    The helper's abort is raised here with its wording and time, unless
-    `evolve` aborts, which wins as it does in-process; its warnings are
-    re-emitted here, each once; and a helper that dies raises
-    `ChildProcessError` naming its exit code.  On one core, without `fork`
-    or `os.sched_getaffinity`, or inside a daemonic process, the pass
-    follows the run in this process.
+    The pass is one `forking` sink, `_CasePass`, fed each snapshot as
+    `evolve` appends it: in one forked helper where `forking.side` can fork
+    one, else in this process.  The result is bitwise the same either way,
+    read-only flags included.  An abort of the pass is raised after
+    the run with its wording and time, unless `evolve` aborts, which wins;
+    the helper's warnings are re-emitted here, each once; and a helper that
+    dies raises `ChildProcessError` naming its exit code.
     """
     eps = cfg.epsilon_single() if epsilon is None else float(epsilon)
     if cfg.t_final < T_ANCHOR:
         raise ValueError("scattering analysis needs t_final >= 2 (the anchor time)")
     grid, schedule, psi1, psi2, state0 = _run_inputs(cfg, eps)
-    run = _AnchoredPass(schedule.times)
+    analysis = _CasePass(schedule.times)
     psi1_hat = forward_ft(psi1)
     psi2_hat = forward_ft(psi2)
     band = resolved_band(psi1_hat, psi2_hat)
 
-    states, (mass1s, mass2s, alpha2_norms, orth_defects) = _evolve_and_analyse(run, state0, schedule)
+    with side(grid, analysis) as helper:
+        states = evolve(state0, schedule, on_snapshot=helper.send)
+        analysis = helper.finish()
+    run, (mass1s, mass2s, alpha2_norms, orth_defects) = analysis.run, analysis.monitors
 
     m_int = run.profile()
     m_end = m_endpoint(run.last)

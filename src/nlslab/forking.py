@@ -1,23 +1,27 @@
-"""One forked helper process fed a stream of states while a run goes on.
+"""Side work on a stream of states, in one forked helper process or in this one.
 
-`nlslab evolve`'s helper (`cli`) and `run_case`'s analysis helper
-(`experiments`) are both a `_StreamHelper`.  `_fork_context` decides
-whether to fork at all: with two usable cores and the `fork` start method,
-and not from a daemonic process, which may have no children.  Where the
-cores cannot be counted (no `os.sched_getaffinity`, as on macOS and
-Windows) it counts as one core.  Every caller runs in-process otherwise.
+A caller builds a sink: `add(state)` takes each state in turn, and
+`result()` returns the sink's result and an iterable of text blocks.
+`side` returns a runner of the sink with one interface, forked or not:
+`send(state)` for each state, `finish()` for the result, then
+`next_block()` for each block.  The rules are `_InProcess`'s, which the
+helper runs too: a `SimulationAbort` the sink raises is kept, the states
+after it are dropped, and `finish` raises it; an abort the caller raises
+during the stream, as in `evolve`, leaves the `with` block first and wins.
 
-The helper is forked before the run.  States reach it as raw bytes through
-a pipe of 1 MiB, which holds several states, so a send rarely waits: t as
-one complex128, then the (2, n) pair.  The helper's target runs on each
-state as it arrives, inside a block that records every warning.  Once the
-stream ends, the helper sends one report back through a `multiprocessing`
-pipe: the target's result, the warnings and the message of a
-`SimulationAbort` the target raised, if any.  After an abort the rest of
-the stream is read and dropped, so the sender never blocks.
-`_StreamHelper.finish` re-emits the warnings in this process and raises
-the abort with its wording.  A helper that dies is a `ChildProcessError`
-naming its exit code.
+`_fork_context` forks with two usable cores and the `fork` start method,
+and not from a daemonic process, which may have no children; without
+`os.sched_getaffinity` (macOS, Windows) it counts one core.  Otherwise,
+and where the caller has no side work worth a process, the sink runs here.
+
+The helper is forked before the run.  Each state reaches it as raw bytes
+through a pipe of 1 MiB, which holds several, so a send rarely waits: t as
+one complex128, then the (2, n) pair, read into a fresh buffer.  The
+helper records every warning, and after the stream sends back the pickled
+result, the warnings and the abort's message, then each block.  `finish`
+re-emits the warnings here, each once, and raises the abort with its
+wording.  A helper that dies is a `ChildProcessError` naming its exit
+code, and the table it leaves unwritten where the caller names one.
 
 `multiprocessing` and `fcntl` are imported where they are used, not at
 import, which every command and importer would pay for.
@@ -48,6 +52,45 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
+def side(grid, sink, fork: bool = True, table: str | None = None):
+    """A runner of `sink`: a forked helper where `fork` is set and `_fork_context` allows, else `_InProcess`."""
+    ctx = _fork_context() if fork else None
+    return _InProcess(sink) if ctx is None else _StreamHelper(ctx, grid, sink, table)
+
+
+class _InProcess:
+    """A sink run in this process, behind the helper's interface."""
+
+    def __init__(self, sink):
+        self._sink, self._abort, self.blocks = sink, None, iter(())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def send(self, state) -> None:
+        """Add one state to the sink, unless it has aborted; the abort is kept for `finish`."""
+        if self._abort is None:
+            try:
+                self._sink.add(state)
+            except SimulationAbort as err:
+                self._abort = err
+
+    def finish(self):
+        """The sink's result; the sink's abort, if any, is raised here."""
+        if self._abort is not None:
+            raise self._abort
+        result, blocks = self._sink.result()
+        self.blocks = iter(blocks)
+        return result
+
+    def next_block(self) -> str:
+        """The sink's next text block."""
+        return next(self.blocks)
+
+
 def _send_state(fd: int, state) -> None:
     """Write one state to the stream: t as a complex128, then u1 and u2."""
     message = (np.complex128(state.t), state.u1.values, state.u2.values)
@@ -57,60 +100,50 @@ def _send_state(fd: int, state) -> None:
         rest = rest[os.write(fd, rest) :]
 
 
-def _read_state(fd: int, view: memoryview) -> bool:
-    """Fill `view` with the next state from the stream; False once the stream has ended."""
-    got = 0
-    while got < len(view):
-        n = os.readv(fd, [view[got:]])
-        if n == 0:
-            return False
-        got += n
-    return True
-
-
 def _read_states(fd: int, grid):
-    """Each state of the stream in turn, its pair a read-only view of one buffer the next state overwrites."""
-    buf = np.empty(1 + 2 * grid.n, dtype=np.complex128)
-    view = memoryview(buf).cast("B")
-    while _read_state(fd, view):
+    """Each state of the stream in turn, read into a fresh buffer, as `evolve` hands out fresh arrays."""
+    while True:
+        buf = np.empty(1 + 2 * grid.n, dtype=np.complex128)
+        view, got = memoryview(buf).cast("B"), 0
+        while got < len(view):
+            n = os.readv(fd, [view[got:]])
+            if n == 0:
+                return
+            got += n
         yield SystemState(float(buf[0].real), *_field_pair(grid, buf[1:].reshape(2, grid.n), SPACE))
 
 
-def _serve(fd, parent_end, parent_conn, conn, grid, target, args) -> None:
-    """The helper's body: `target(states, *args)` on the stream, then the report.
-
-    The target returns its result and an iterable of bytes, which are sent
-    after the report, one message each.
-    """
+def _serve(fd, parent_end, parent_conn, conn, grid, sink) -> None:
+    """The helper's body: the stream through `_InProcess(sink)`, then the report and the blocks."""
     # the stream ends when this process's copy of its write end is closed
     # too, and a send fails once the caller is gone only when this process
     # holds no copy of the caller's end of the report pipe
     os.close(parent_end)
     parent_conn.close()
-    result, then, abort = None, (), None
+    runner, result, abort = _InProcess(sink), None, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        for state in _read_states(fd, grid):
+            runner.send(state)
         try:
-            result, then = target(_read_states(fd, grid), *args)
+            result = runner.finish()
         except SimulationAbort as err:
             abort = str(err)
-    while os.read(fd, PIPE_BYTES):  # what the target left unread
-        pass
     conn.send((result, [w.message for w in caught], abort))
-    for data in then:
-        conn.send_bytes(data)
+    for block in runner.blocks:
+        conn.send_bytes(block.encode())
 
 
 class _StreamHelper:
-    """One forked helper process, started at construction and fed states through `send`.
+    """One forked helper process running a sink, started at construction and fed states through `send`.
 
-    Use it as a context manager.  An exception that leaves the `with`
-    block kills the helper; either way it is joined on exit, so no child
-    outlives the block.  The helper ends through multiprocessing's
-    `os._exit`, so it never unwinds its caller's blocks.
+    An exception that leaves its `with` block kills the helper; either way
+    it is joined on exit, so no child outlives the block.  It ends through
+    multiprocessing's `os._exit`, so it never unwinds its caller's blocks.
     """
 
-    def __init__(self, ctx, grid, target, *args):
+    def __init__(self, ctx, grid, sink, table: str | None = None):
+        self._table = table
         read_end, self._fd = os.pipe()
         self._conn, sender = ctx.Pipe(duplex=False)
         try:
@@ -118,7 +151,7 @@ class _StreamHelper:
                 import fcntl
 
                 fcntl.fcntl(self._fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-            args = (read_end, self._fd, self._conn, sender, grid, target, args)
+            args = (read_end, self._fd, self._conn, sender, grid, sink)
             self._proc = ctx.Process(target=_serve, args=args, daemon=True)
             with warnings.catch_warnings():
                 # Python 3.12+ warns on any fork of a process with threads
@@ -138,16 +171,17 @@ class _StreamHelper:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:  # before the stream ends, so the helper sends nothing into a closed pipe
+            self._proc.kill()
         if self._fd is not None:
             os.close(self._fd)
         self._conn.close()
-        if exc_type is not None:
-            self._proc.kill()
         self._proc.join()
 
     def _died(self) -> OSError:
         self._proc.join()
-        return ChildProcessError(f"helper process exited with code {self._proc.exitcode}")
+        err = f"helper process exited with code {self._proc.exitcode}"
+        return ChildProcessError(err if self._table is None else f"cannot write table {self._table!r}: {err}")
 
     def send(self, state) -> None:
         """Send one state to the helper."""
@@ -157,7 +191,7 @@ class _StreamHelper:
             raise self._died() from None
 
     def finish(self):
-        """End the stream and return the target's result.
+        """End the stream and return the sink's result.
 
         The helper's warnings are re-emitted here, each once, and its abort
         is raised here with its wording.
@@ -174,9 +208,9 @@ class _StreamHelper:
             raise SimulationAbort(abort)
         return result
 
-    def recv_bytes(self) -> bytes:
-        """The next message the target sent after its report."""
+    def next_block(self) -> str:
+        """The sink's next text block, from the helper."""
         try:
-            return self._conn.recv_bytes()
+            return self._conn.recv_bytes().decode()
         except EOFError:
             raise self._died() from None

@@ -73,6 +73,8 @@ from .spectral import (
     _abs2,
     _back_propagated_ft,
     _field_pair,
+    _frozen,
+    _unpickled,
 )
 from .dynamics import T_ANCHOR, TIME_TOL, SystemState
 
@@ -143,13 +145,13 @@ class MProfile:
             raise ValueError("profile length must match the grid")
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite values in sign profile")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "m_values", vals)
+        object.__setattr__(self, "m_values", _frozen(vals, self.m_values))
         if self.tail_estimate is not None:
-            tail = np.asarray(self.tail_estimate, dtype=np.float64).copy()
-            tail.flags.writeable = False
-            object.__setattr__(self, "tail_estimate", tail)
+            tail = np.asarray(self.tail_estimate, dtype=np.float64)
+            object.__setattr__(self, "tail_estimate", _frozen(tail, self.tail_estimate))
+
+    def __reduce__(self):
+        return _unpickled, (type(self), self.grid, self.m_values, self.t_final, self.tail_estimate)
 
 
 def _spectra(state: SystemState, with_nonlinearity: bool = False) -> np.ndarray:
@@ -296,8 +298,7 @@ class _AnchoredPass:
     and at the last snapshot; `profile` is the route's `MProfile`.  Its rho
     and amplitudes are bitwise those of `rho` and `modified_amplitudes`.
     The snapshots' times must be the ones the pass was built from; a caller
-    may start at `first`, the anchor's index, as `m_integral` does.  `state`
-    and `restore` carry what a pass has kept to a pass in another process.
+    may start at `first`, the anchor's index, as `m_integral` does.
     """
 
     def __init__(self, times) -> None:
@@ -322,24 +323,6 @@ class _AnchoredPass:
             self.fold.add(state.t, _rho_row(state.grid, state.t, spec))
         self.last = snap
         return snap
-
-    def state(self) -> tuple:
-        """What the pass has kept, as plain values for `restore` in another process.
-
-        These are the amplitudes at the anchor and at the last snapshot, each
-        as its time and (2, n) rows, then the fold's trapezoid, times,
-        per-snapshot peaks and last row.
-        """
-        kept = [(s.t, np.stack([s.alpha1.values, s.alpha2.values])) for s in (self.anchor, self.last)]
-        fold = self.fold
-        return (*kept, fold.integral, fold.times, fold.peaks, fold.last)
-
-    def restore(self, grid: Grid, state: tuple) -> None:
-        """Take on what another pass's `state()` returned; its amplitudes are frozen as `add` freezes them."""
-        (t_anchor, anchor), (t_last, last), *folded = state
-        self.anchor = SpectralSnapshot(t_anchor, *_field_pair(grid, anchor, FREQUENCY))
-        self.last = SpectralSnapshot(t_last, *_field_pair(grid, last, FREQUENCY))
-        self.fold.integral, self.fold.times, self.fold.peaks, self.fold.last = folded
 
     def profile(self) -> MProfile:
         """The anchor's endpoint difference plus the fold's trapezoid, with its tail estimate."""

@@ -135,6 +135,10 @@ class Grid:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "length", float(self.length))
 
+    def __reduce__(self):
+        # without its cached arrays, which a copy would get back writeable
+        return type(self), (self.n, self.length)
+
     @property
     def dx(self) -> float:
         return self.length / self.n
@@ -182,7 +186,8 @@ class ComplexField:
     """One complex-valued function sampled on a grid, on one side of the FT.
 
     Samples are validated finite at construction and frozen, so any public
-    operation that would produce NaN/Inf aborts the run immediately.
+    operation that would produce NaN/Inf aborts the run immediately.  A
+    copy made by pickle or deepcopy goes through the constructor too.
     """
 
     grid: Grid
@@ -199,15 +204,30 @@ class ComplexField:
             )
         if not np.all(np.isfinite(vals)):
             raise SimulationAbort("non-finite samples in field")
-        if vals is self.values and vals.flags.writeable:
-            vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals, self.values))
+
+    def __reduce__(self):
+        return _unpickled, (type(self), self.grid, self.values, self.side)
 
     @property
     def spacing(self) -> float:
         """Quadrature weight of this side: dx in space, dxi in frequency."""
         return self.grid.dx if self.side == SPACE else self.grid.dxi
+
+
+def _frozen(vals: np.ndarray, given) -> np.ndarray:
+    """`vals` made read-only, copied first if it is `given`, an array its caller may still write."""
+    vals = vals.copy() if vals is given and vals.flags.writeable else vals
+    vals.flags.writeable = False
+    return vals
+
+
+def _unpickled(cls, *args):
+    """`cls(*args)` from the arguments pickle or deepcopy made, each array the copy's own and so frozen uncopied."""
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            arg.flags.writeable = False
+    return cls(*args)
 
 
 def _require_side(f: ComplexField, side: str, op: str) -> None:

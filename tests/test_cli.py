@@ -22,6 +22,7 @@ from nlslab import (
 )
 import nlslab.checks
 import nlslab.cli
+import nlslab.forking
 from conftest import pin_writer
 from nlslab.cli import main
 from nlslab.tables import read_table, write_table
@@ -416,7 +417,7 @@ class TestEvolveCommand:
             def start(self):
                 raise OSError("cannot fork")
 
-        monkeypatch.setattr(nlslab.cli, "_fork_context", lambda: SimpleNamespace(Pipe=fork.Pipe, Process=Unstartable))
+        monkeypatch.setattr(nlslab.forking, "_fork_context", lambda: SimpleNamespace(Pipe=fork.Pipe, Process=Unstartable))
         cfg, out = write_cfg(tmp_path, TINY)
         assert main(["evolve", cfg]) == 1
         assert "cannot fork" in capsys.readouterr().err

@@ -400,6 +400,24 @@ class TestScheduleAndEvolve:
         with pytest.raises(SimulationAbort, match=r"at step 3, t = 0\.03$"):
             evolve(initial_state(grid, unit_gaussian, half_gaussian, 0.1), sched, observer)
 
+    @pytest.mark.parametrize("epsilon", [0.1, 1e-160])
+    def test_substep_that_raises_a_mass_aborts(self, grid, unit_gaussian, half_gaussian, monkeypatch, epsilon):
+        # the guard holds at normal masses and at subnormal ones (1e-160
+        # gives masses near 1e-320), where its relative tolerance underflows
+        def growing_substep(u1, u2, dt, out=None):
+            r1, r2 = nonlinear_substep(u1, u2, dt, out)
+            if len(calls) == 2:
+                r2 *= 1.5
+            calls.append(dt)
+            return r1, r2
+
+        calls = []
+        monkeypatch.setattr(dynamics, "nonlinear_substep", growing_substep)
+        sched = make_schedule(dt=0.01, t_final=1.0)
+        pattern = r"^component mass increased beyond tolerance \(.+->.+, .+->.+\) at step 3, t = 0\.03$"
+        with pytest.raises(SimulationAbort, match=pattern):
+            evolve(initial_state(grid, unit_gaussian, half_gaussian, epsilon), sched)
+
     @pytest.mark.parametrize("observed", [False, True])
     def test_overflowing_initial_data_aborts_at_step_zero(self, grid, observed):
         # finite samples whose squared moduli overflow: caught before the

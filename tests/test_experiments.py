@@ -287,6 +287,16 @@ def _case_arrays(case) -> dict:
     return out
 
 
+class _LargeResult:
+    """A sink of no states whose result is larger than a pipe holds."""
+
+    def add(self, state):
+        pass
+
+    def result(self):
+        return np.zeros(1 << 17), ()
+
+
 def _case_arrays_of_run(cfg) -> dict:
     return _case_arrays(run_case(cfg))
 
@@ -440,7 +450,7 @@ class TestForkedAnalysis:
         # a report larger than a pipe holds fails to send once the caller's
         # end is closed, so the helper of a killed process does not block
         pin_writer(monkeypatch, "forked")
-        helper = forking._StreamHelper(forking._fork_context(), make_grid(16, 8.0), lambda states: (np.zeros(1 << 17), ()))
+        helper = forking._StreamHelper(forking._fork_context(), make_grid(16, 8.0), _LargeResult())
         try:
             helper._conn.close()
             os.close(helper._fd)
@@ -459,6 +469,13 @@ class TestForkedAnalysis:
             in_worker = pool.apply(_case_arrays_of_run, (self.SILENT,))
         pin_writer(monkeypatch, "in-process")
         assert in_worker == _case_arrays_of_run(self.SILENT)
+
+
+def test_run_case_completes_at_subnormal_masses():
+    # eps = 1e-160 gives masses near 1e-320, where the mass guard's relative
+    # tolerance 1e-10 (m1 + m2) underflows and round-off once aborted the run
+    case = run_case(replace(SCENARIO_B, grid_n=256, grid_length=64.0, t_final=5.0), 1e-160)
+    assert case.states[-1].t == 5.0 and 0.0 < case.record.mass1_final < 1e-300
 
 
 class TestDefectHelpers:

@@ -151,20 +151,30 @@ class TestClosedForm:
         propagate_calls = []
         real_propagate = spectral.free_propagate
         real_evolve = experiments.evolve
+        real_add = experiments._CasePass.add
 
         def counting_propagate(f, t):
             propagate_calls.append(t)
             return real_propagate(f, t)
 
+        def logged_add(self, state):
+            # the analysis runs inside evolve, as each snapshot is appended
+            transforms.logging = True
+            try:
+                real_add(self, state)
+            finally:
+                transforms.logging = False
+
         def evolve_then_log(*args, **kwargs):
             states = real_evolve(*args, **kwargs)
-            transforms.logging = True  # the analysis starts when evolve returns
+            transforms.logging = True  # and so is everything after the run
             return states
 
         # every module that could call it by an imported name
         for module in (spectral, dynamics, scattering, experiments):
             if hasattr(module, "free_propagate"):
                 monkeypatch.setattr(module, "free_propagate", counting_propagate)
+        monkeypatch.setattr(experiments._CasePass, "add", logged_add)
         monkeypatch.setattr(experiments, "evolve", evolve_then_log)
         cfg = replace(SCENARIO_B, grid_n=512, grid_length=64.0, t_final=20.0)
         case = experiments.run_case(cfg)

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -9,6 +11,7 @@ import pytest
 from nlslab import (
     ComplexField,
     FREQUENCY,
+    MProfile,
     SPACE,
     SimulationAbort,
     forward_ft,
@@ -82,6 +85,40 @@ class TestComplexField:
     def test_bad_side_rejected(self, grid):
         with pytest.raises(ValueError):
             ComplexField(grid, np.zeros(grid.n, complex), "momentum")
+
+
+@pytest.mark.parametrize("copy", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"])
+class TestCopiesStayFrozen:
+    """A field, profile or grid copied by pickle or deepcopy is frozen and validated as the original is."""
+
+    def test_field(self, grid, random_field, copy):
+        f = copy(random_field)
+        assert (f.grid, f.side, f.values.tobytes()) == (grid, SPACE, random_field.values.tobytes())
+        with pytest.raises(ValueError):
+            f.values[0] = np.nan
+
+    def test_profile(self, grid, copy):
+        tail = np.abs(np.linspace(-1.0, 1.0, grid.n))
+        p = copy(MProfile(grid, np.linspace(-1.0, 1.0, grid.n), 5.0, tail))
+        assert p.m_values.tobytes() == np.linspace(-1.0, 1.0, grid.n).tobytes() and p.tail_estimate.tobytes() == tail.tobytes()
+        for values in (p.m_values, p.tail_estimate):
+            with pytest.raises(ValueError):
+                values[0] = np.nan
+
+    def test_grid(self, copy):
+        g = make_grid(64, 8.0)
+        g.frequencies, g.points  # cached on the original
+        h = copy(g)
+        assert h == g and h.frequencies.tobytes() == g.frequencies.tobytes()
+        for values in (h.frequencies, h.points):
+            with pytest.raises(ValueError):
+                values[0] = np.nan
+
+    def test_invalid_samples_do_not_survive(self, grid, random_field, copy):
+        f = copy(random_field)
+        object.__setattr__(f, "values", np.full(grid.n, np.nan, dtype=complex))
+        with pytest.raises(SimulationAbort):
+            copy(f)
 
 
 class TestForwardFT:
