@@ -46,7 +46,6 @@ from .spectral import (
     _squared_norms,
     forward_ft,
     gaussian_profile,
-    l2_norm,
     make_grid,
     zero_field,
 )
@@ -58,7 +57,6 @@ from .dynamics import (
     count_steps,
     evolve,
     make_schedule,
-    mass,
 )
 from .forking import side
 from .scattering import (
@@ -70,7 +68,6 @@ from .scattering import (
     _window_integrals,
     classify,
     m_endpoint,
-    orthogonality_defect,
 )
 
 __all__ = [
@@ -227,29 +224,6 @@ def theorem_defect(
     return float(np.max(dev[band], initial=0.0))
 
 
-class _CasePass:
-    """`run_case`'s sink: the anchored route's pass over every snapshot, with four monitors per snapshot.
-
-    `add` folds each snapshot into `run` (`scattering._AnchoredPass`) and
-    fills its column of `monitors`: both masses, the alpha2 norm and the
-    orthogonality defect.  The sink is its own result, which a helper
-    pickles back whole.
-    """
-
-    def __init__(self, times):
-        self.run = _AnchoredPass(times)
-        self.monitors = np.empty((4, len(times)))
-        self.added = 0
-
-    def add(self, state: SystemState) -> None:
-        snap = self.run.add(state)
-        self.monitors[:, self.added] = mass(state.u1), mass(state.u2), l2_norm(snap.alpha2), orthogonality_defect(snap)
-        self.added += 1
-
-    def result(self):
-        return self, ()
-
-
 def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     """Evolve one configuration and compute all scattering outputs.
 
@@ -273,27 +247,29 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     relative threshold would keep; it raises a `RegimeWarning` naming eps,
     T and both thresholds.
 
-    The pass is one `forking` sink, `_CasePass`, fed each snapshot as
-    `evolve` appends it: in one forked helper where `forking.side` can fork
-    one, else in this process.  The result is bitwise the same either way,
-    read-only flags included.  An abort of the pass is raised after
-    the run with its wording and time, unless `evolve` aborts, which wins;
-    the helper's warnings are re-emitted here, each once; and a helper that
-    dies raises `ChildProcessError` naming its exit code.
+    The pass is the `forking` sink, fed each snapshot as `evolve` appends
+    it: in one forked helper where `forking.side` can fork one, else in
+    this process.  `run_case` reads the anchor and final amplitudes, the
+    profile and the monitors straight off it.  The result is bitwise the
+    same either way, read-only flags included.  An abort of the pass is
+    raised after the run with its wording and time, unless `evolve`
+    aborts, which wins; the helper's warnings are re-emitted here, each
+    once; and a helper that dies raises `ChildProcessError` naming its exit
+    code.
     """
     eps = cfg.epsilon_single() if epsilon is None else float(epsilon)
     if cfg.t_final < T_ANCHOR:
         raise ValueError("scattering analysis needs t_final >= 2 (the anchor time)")
     grid, schedule, psi1, psi2, state0 = _run_inputs(cfg, eps)
-    analysis = _CasePass(schedule.times)
+    run = _AnchoredPass(schedule.times)
     psi1_hat = forward_ft(psi1)
     psi2_hat = forward_ft(psi2)
     band = resolved_band(psi1_hat, psi2_hat)
 
-    with side(grid, analysis) as helper:
+    with side(grid, run) as helper:
         states = evolve(state0, schedule, on_snapshot=helper.send)
-        analysis = helper.finish()
-    run, (mass1s, mass2s, alpha2_norms, orth_defects) = analysis.run, analysis.monitors
+        run = helper.finish()
+    mass1s, mass2s, alpha2_norms, orth_defects = run.monitors
 
     m_int = run.profile()
     m_end = m_endpoint(run.last)

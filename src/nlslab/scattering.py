@@ -50,10 +50,10 @@ last row for the tail fit.  `integrate_rho_window` and
 `tail_bound_constants` use that fold directly.  The anchored route's one
 snapshot loop is `_AnchoredPass`: it transforms each snapshot once, reads
 its amplitudes and, from the anchor on, its rho off that one transform,
-and keeps the amplitudes at the anchor and at T, for the lemma defect and
-the endpoint route.
-`m_integral` drives it from the anchor on and `run_case` over every
-snapshot, reading each snapshot's monitors off the amplitudes it returns.
+keeps the amplitudes at the anchor and at T, for the lemma defect and the
+endpoint route, and records each snapshot's masses, alpha2 norm and
+orthogonality defect.  `m_integral` drives it from the anchor on and
+`run_case` over every snapshot, as the sink it hands `forking.side`.
 So the analysis holds O(n) memory whatever the snapshot count, and the
 fold reproduces the stacked np.trapezoid bitwise.
 """
@@ -75,8 +75,9 @@ from .spectral import (
     _field_pair,
     _frozen,
     _unpickled,
+    l2_norm,
 )
-from .dynamics import T_ANCHOR, TIME_TOL, SystemState
+from .dynamics import T_ANCHOR, TIME_TOL, SystemState, mass
 
 __all__ = [
     "SpectralSnapshot",
@@ -286,34 +287,38 @@ def _anchor_index(times) -> int:
 
 
 class _AnchoredPass:
-    """The anchored route's one pass over a snapshot ladder.
+    """The anchored route's one pass over a snapshot ladder, with four monitors per snapshot.
 
     Built from the ladder's times, ascending and with at least 3 snapshots
     from the t = 2 anchor on; it rejects any other ladder before anything is
     computed.  `add` takes the snapshots in order.  Each one costs one
     stacked FFT call (`_spectra`): of u1 and u2 before the anchor, and of
     u1, u2, N1 and N2 from it on.  `add` reads the modified amplitudes off
-    the first two rows and returns them, folds rho, read off all four rows
-    as in `rho`, into a `_RhoFold`, and keeps the amplitudes at the anchor
-    and at the last snapshot; `profile` is the route's `MProfile`.  Its rho
-    and amplitudes are bitwise those of `rho` and `modified_amplitudes`.
-    The snapshots' times must be the ones the pass was built from; a caller
-    may start at `first`, the anchor's index, as `m_integral` does.
+    the first two rows, folds rho, read off all four rows as in `rho`, into
+    a `_RhoFold`, keeps the amplitudes at the anchor and at the last
+    snapshot, and fills the snapshot's column of `monitors`: both masses,
+    the alpha2 norm and the orthogonality defect.  `profile` is the route's
+    `MProfile`.  Its rho and amplitudes are bitwise those of `rho` and
+    `modified_amplitudes`.  The snapshots' times must be the ones the pass
+    was built from.  The pass is a `forking` sink and its own result, which
+    a helper pickles back whole.
     """
 
     def __init__(self, times) -> None:
         times = np.asarray(times, dtype=np.float64)
         if np.any(np.diff(times) <= 0):
             raise ValueError("snapshot times must be strictly ascending")
-        self.first = _anchor_index(times)
-        if len(times) - self.first < 3:
+        first = _anchor_index(times)
+        if len(times) - first < 3:
             raise ValueError("integral route needs at least 3 snapshots from the anchor on")
-        self.t_anchor = times[self.first]
+        self.t_anchor = times[first]
         self.fold = _RhoFold()
         self.anchor: SpectralSnapshot | None = None
         self.last: SpectralSnapshot | None = None
+        self.monitors = np.empty((4, len(times)))
+        self.added = 0
 
-    def add(self, state: SystemState) -> SpectralSnapshot:
+    def add(self, state: SystemState) -> None:
         anchored = state.t >= self.t_anchor
         spec = _spectra(state, with_nonlinearity=anchored)
         snap = _amplitudes(state.grid, state.t, spec[:2])
@@ -322,7 +327,11 @@ class _AnchoredPass:
                 self.anchor = snap
             self.fold.add(state.t, _rho_row(state.grid, state.t, spec))
         self.last = snap
-        return snap
+        self.monitors[:, self.added] = mass(state.u1), mass(state.u2), l2_norm(snap.alpha2), orthogonality_defect(snap)
+        self.added += 1
+
+    def result(self):
+        return self, ()
 
     def profile(self) -> MProfile:
         """The anchor's endpoint difference plus the fold's trapezoid, with its tail estimate."""
@@ -335,16 +344,19 @@ def m_integral(states: list[SystemState]) -> MProfile:
 
     Expects system snapshots in ascending time, one of them at the anchor
     t = 2 and the last at the truncation time T; earlier snapshots are
-    skipped.  One pass from the anchor on (`_AnchoredPass`, the pass
-    `run_case` makes) computes each snapshot's amplitudes and rho from one
-    transform call and folds them into running reductions, so no (k, n)
-    stack of rows is held.  The neglected tail beyond T is estimated per
-    frequency by extrapolating |rho| ~ t^-p, with p fitted to the
+    skipped, before the pass is built, so none of them is transformed.
+    One pass from the anchor on (`_AnchoredPass`, the pass `run_case`
+    makes over every snapshot) computes each snapshot's amplitudes and rho
+    from one transform call and folds them into running reductions, so no
+    (k, n) stack of rows is held.  The neglected tail beyond T is estimated
+    per frequency by extrapolating |rho| ~ t^-p, with p fitted to the
     per-snapshot max |rho| on the last decade of snapshot times, and
     attached to the returned profile.
     """
-    run = _AnchoredPass([s.t for s in states])
-    for state in states[run.first:]:
+    times = [s.t for s in states]
+    first = _anchor_index(times)
+    run = _AnchoredPass(times[first:])
+    for state in states[first:]:
         run.add(state)
     return run.profile()
 

@@ -151,7 +151,7 @@ class TestClosedForm:
         propagate_calls = []
         real_propagate = spectral.free_propagate
         real_evolve = experiments.evolve
-        real_add = experiments._CasePass.add
+        real_add = scattering._AnchoredPass.add
 
         def counting_propagate(f, t):
             propagate_calls.append(t)
@@ -174,7 +174,7 @@ class TestClosedForm:
         for module in (spectral, dynamics, scattering, experiments):
             if hasattr(module, "free_propagate"):
                 monkeypatch.setattr(module, "free_propagate", counting_propagate)
-        monkeypatch.setattr(experiments._CasePass, "add", logged_add)
+        monkeypatch.setattr(scattering._AnchoredPass, "add", logged_add)
         monkeypatch.setattr(experiments, "evolve", evolve_then_log)
         cfg = replace(SCENARIO_B, grid_n=512, grid_length=64.0, t_final=20.0)
         case = experiments.run_case(cfg)

@@ -340,19 +340,28 @@ def test_propagator_group_property(grid, seed, s, t):
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-11 * l2_norm(f)
 
 
-# 50 warm steps at n = 16384, then the minor page faults they took
+# a warm second call of one probe, then the minor page faults it took:
+# 50 evolve steps at n = 16384, or an in-process run_case at n = 4096
 _FAULT_PROBE = textwrap.dedent(
     """
     import resource
+    import sys
+    from dataclasses import replace
     import nlslab
-    grid = nlslab.make_grid(16384, 2048.0)
-    psi1 = nlslab.gaussian_profile(grid, 1.0, 1.0)
-    psi2 = nlslab.gaussian_profile(grid, 0.5, 1.0)
-    state0 = nlslab.initial_state(grid, psi1, psi2, 0.1)
-    schedule = nlslab.make_schedule(dt=0.01, t_final=0.5)
-    nlslab.evolve(state0, schedule)
+    if sys.argv[1] == "evolve":
+        grid = nlslab.make_grid(16384, 2048.0)
+        psi1 = nlslab.gaussian_profile(grid, 1.0, 1.0)
+        psi2 = nlslab.gaussian_profile(grid, 0.5, 1.0)
+        state0 = nlslab.initial_state(grid, psi1, psi2, 0.1)
+        schedule = nlslab.make_schedule(dt=0.01, t_final=0.5)
+        probe = lambda: nlslab.evolve(state0, schedule)
+    else:
+        nlslab.forking._fork_context = lambda: None  # the analysis runs in this process
+        cfg = replace(nlslab.SCENARIO_B, grid_n=4096, grid_length=256.0, t_final=20.0)
+        probe = lambda: nlslab.run_case(cfg)
+    probe()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    nlslab.evolve(state0, schedule)
+    probe()
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     """
 )
@@ -360,22 +369,34 @@ _FAULT_PROBE = textwrap.dedent(
 
 @pytest.mark.skipif(not _is_glibc(), reason="the allocator setting applies to glibc only")
 @pytest.mark.parametrize(
-    "user_env, resident",
+    "probe, user_env, resident",
     [
         # the import-time setting: about 23k faults without it
-        ({}, True),
+        ("evolve", {}, True),
         # glibc's own settings made by the user win; measured 50k faults
-        ({"MALLOC_MMAP_THRESHOLD_": "131072"}, False),
-        ({"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}, False),
+        ("evolve", {"MALLOC_MMAP_THRESHOLD_": "131072"}, False),
+        ("evolve", {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}, False),
+        # the in-process analysis frees more: measured 1-2 faults with the
+        # setting and 35k under either user setting
+        ("run_case", {}, True),
+        ("run_case", {"MALLOC_MMAP_THRESHOLD_": "131072"}, False),
+        ("run_case", {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}, False),
     ],
-    ids=["default", "user-variable", "user-tunable"],
+    ids=[
+        "default",
+        "user-variable",
+        "user-tunable",
+        "run-case-default",
+        "run-case-user-variable",
+        "run-case-user-tunable",
+    ],
 )
-def test_warm_evolve_steps_take_no_page_faults(user_env, resident):
+def test_warm_evolve_steps_take_no_page_faults(probe, user_env, resident):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k not in _MALLOC_ENV and k != "GLIBC_TUNABLES"}
     env.update(user_env, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _FAULT_PROBE, probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     faults = int(done.stdout)
