@@ -11,7 +11,7 @@ Recognized keys (defaults in parentheses):
 
     grid.n              (4096)    power of two >= 16
     grid.length         (256)     positive box length
-    time.dt             (0.01)    base step
+    time.dt             (0.02)    base step
     time.t_final        (400)     end time
     time.snapshot_ratio (2^0.25)  geometric snapshot spacing, > 1
     time.grow_after     (2)       time after which steps may grow (the t = 2

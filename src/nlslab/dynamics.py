@@ -72,8 +72,11 @@ TIME_TOL = 1e-9
 
 # The default time plan.  Solutions decay like 1/sqrt(t), so the coupling
 # weakens like 1/t and the step may grow in proportion to t; growth starts
-# at the anchor, and the interval [0, T_ANCHOR] runs at the base step.
-DEFAULT_DT = 0.01
+# at the anchor, and the interval [0, T_ANCHOR] runs at the base step.  On
+# that interval both substeps are exact and only the O(dt^2) splitting
+# commutator is left: against a 0.0025 step, 0.02 moves m by at most a few
+# percent of the relative classification floor 1e-6 eps^2.
+DEFAULT_DT = 0.02
 DEFAULT_GROW_AFTER = T_ANCHOR
 DEFAULT_GROWTH_CAP = 0.05
 DEFAULT_T_FINAL = 400.0

@@ -103,7 +103,7 @@ def test_workload_step_counts_are_pinned():
     for name, w in workloads.WORKLOADS.items():
         cfg = parse_config(workloads.config_text(w, 0, "out"))
         steps[name] = nlslab.count_steps(_run_inputs(cfg, w.epsilon)[1])
-    assert steps == {"case-bigbox": 323, "cli-evolve": 323, "profile-dense": 363}
+    assert steps == {"case-bigbox": 223, "cli-evolve": 223, "profile-dense": 263}
 
 
 def test_runner_checks_pass_on_a_small_case(runner):

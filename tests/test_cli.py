@@ -451,13 +451,16 @@ class TestEvolveCommand:
         assert "single epsilon" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, dt, t_final, reached", [("evolve", 0.8, 2, "1.6"), ("mprofile", 0.03, 400, "399.99")]
+        "command, dt, t_final, reached",
+        # with no time.dt line the default 0.02 applies, on whose lattice 5.01 is not
+        [("evolve", 0.8, 2, "1.6"), ("mprofile", 0.03, 400, "399.99"), ("evolve", None, 5.01, "5")],
     )
     def test_t_final_off_the_dt_lattice_is_validation_error(self, tmp_path, capsys, command, dt, t_final, reached):
-        text = TINY.replace("time.dt = 0.01", f"time.dt = {dt}").replace("time.t_final = 5", f"time.t_final = {t_final}")
+        dt_line = "" if dt is None else f"time.dt = {dt}\n"
+        text = TINY.replace("time.dt = 0.01\n", dt_line).replace("time.t_final = 5", f"time.t_final = {t_final}")
         cfg, out = write_cfg(tmp_path, text)
         assert main([command, cfg]) == 1
-        assert f"the run would end at t = {reached}" in capsys.readouterr().err
+        assert f"dt = {dt or 0.02} steps; the run would end at t = {reached}\n" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("dt, t_final", [("1e-320", "5"), ("0.01", "1e308")])

@@ -150,7 +150,7 @@ class TestSerializeConfig:
         assert serialize_config(SCENARIO_A) == (
             "grid.n = 4096\n"
             "grid.length = 256\n"
-            "time.dt = 0.01\n"
+            "time.dt = 0.02\n"
             "time.t_final = 400\n"
             "time.snapshot_ratio = 1.189207115002721\n"
             "time.grow_after = 2\n"
@@ -166,7 +166,7 @@ class TestSerializeConfig:
         assert serialize_config(RunConfig(grow_after=float("inf"))) == (
             "grid.n = 4096\n"
             "grid.length = 256\n"
-            "time.dt = 0.01\n"
+            "time.dt = 0.02\n"
             "time.t_final = 400\n"
             "time.snapshot_ratio = 1.189207115002721\n"
             "time.grow_after = inf\n"

@@ -712,6 +712,29 @@ class TestDefaultPlanConvergence:
         # measured: 0.12 of the floor on A and 0.08 on B
         assert _default_plan_error(scenario, 0.2, 20.0, 0.0025) < PLAN_ERROR_BUDGET
 
+    # Bounds on the anchor amplitudes and on m_end, in floors 1e-6 eps^2, at
+    # about 3x the change measured at the default dt = 0.02 (anchor, m_end):
+    # A 6.70 and 0.0302, B 0.803 and 0.00118.  The amplitudes are O(eps), so
+    # their change reads larger in these units than m's.  The error grows
+    # like dt^2: at dt = 0.04, A reads 27.2 and 0.134, B 3.25 and 0.0079.
+    @pytest.mark.parametrize(
+        "scenario, anchor_bound, m_bound", [(SCENARIO_A, 20.0, 0.09), (SCENARIO_B, 2.4, 0.0035)], ids=["A", "B"]
+    )
+    def test_default_base_step_resolves_the_anchor(self, scenario, anchor_bound, m_bound):
+        cfg = replace(scenario, grid_n=512, grid_length=128.0, t_final=20.0, epsilons=(0.2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)  # T = 20 leaves a tail above threshold
+            default, fine = run_case(cfg), run_case(replace(cfg, dt=0.0025))
+        band, floor = fine.band, 1e-6 * 0.2**2
+        anchor_gap = max(
+            np.max(np.abs(getattr(default.anchor_amplitudes, a).values - getattr(fine.anchor_amplitudes, a).values)[band])
+            for a in ("alpha1", "alpha2")
+        )
+        m_gap = np.max(np.abs(default.m_end.m_values - fine.m_end.m_values)[band])
+        assert anchor_gap < anchor_bound * floor
+        assert m_gap < m_bound * floor
+        assert np.array_equal(default.tags(), fine.tags())
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
