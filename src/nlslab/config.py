@@ -86,9 +86,12 @@ class ProfileSpec:
         for name in ("amplitude", "center", "wavenumber"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.kind == "zero":  # every zero profile is one value, so it survives the text form `zero`
+            for name, value in (("amplitude", 0.0), ("width", 1.0), ("center", 0.0), ("wavenumber", 0.0)):
+                object.__setattr__(self, name, value)
 
 
-ZERO_PROFILE = ProfileSpec(kind="zero", amplitude=0.0)
+ZERO_PROFILE = ProfileSpec(kind="zero")
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,12 @@ def _evolve_tables(cfg, out):
     return code, {name: open(os.path.join(out, name), "rb").read() for name in sorted(os.listdir(out))}
 
 
+def _package_env():
+    """This process's environment with this package's directory first on PYTHONPATH, for a child interpreter."""
+    src = os.path.dirname(os.path.dirname(nlslab.cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestDispatch:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -103,11 +109,29 @@ class TestDispatch:
     def test_import_loads_neither_multiprocessing_nor_checks(self):
         # both are imported where they are used: the forked helpers and
         # `verify`; every command, and every importer, would pay for them
-        src = os.path.dirname(os.path.dirname(nlslab.cli.__file__))
         code = "import sys, nlslab.cli; print(sorted({'multiprocessing', 'nlslab.checks'} & set(sys.modules)))"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        done = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["evolve"], "evolve takes exactly one argument: the config path"),
+            (["mprofile", "a.cfg", "b.cfg"], "mprofile takes exactly one argument: the config path"),
+            (["sweep"], "sweep takes exactly one argument: the config path"),
+            (["scenario"], "scenario takes a scenario name and an optional config path"),
+            (["scenario", "B", "a.cfg", "b.cfg"], "scenario takes a scenario name and an optional config path"),
+        ],
+        ids=["evolve", "mprofile", "sweep", "scenario-bare", "scenario-three"],
+    )
+    def test_wrong_argument_count_is_validation_error(self, capsys, args, message):
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_module_entry_without_arguments_prints_usage(self):
+        # `python -m nlslab` runs `__main__` and `cli.entry`, which exits with main's code
+        done = subprocess.run([sys.executable, "-m", "nlslab"], env=_package_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", nlslab.cli.USAGE)
 
 
 class TestEvolveCommand:

@@ -15,6 +15,7 @@ from nlslab import (
     write_table,
 )
 import nlslab.tables
+from nlslab.config import ZERO_PROFILE
 from nlslab.tables import block_formatter, open_table
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -84,6 +85,25 @@ class TestParseConfig:
         assert err.value.line == 1
         assert line.split(" = ")[0] + " must" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("epsilon = ,", "epsilon needs at least one value"),
+            ("outputs.directory =", "outputs.directory must not be empty"),
+            ("data.psi1 = gaussian(1+, 1, 0, 0)", "malformed amplitude '1+'"),
+        ],
+        ids=["epsilon", "directory", "amplitude"],
+    )
+    def test_empty_or_malformed_value_rejected(self, line, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(line)
+        assert err.value.line == 1
+        assert message in str(err.value)
+
+    def test_unknown_profile_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown profile kind 'box'"):
+            ProfileSpec(kind="box")
+
     def test_profile_parsing(self):
         cfg = parse_config("data.psi1 = gaussian(0.5+0.5j, 2, -1, 3)\ndata.psi2 = zero\n")
         assert cfg.psi1 == ProfileSpec("gaussian", 0.5 + 0.5j, 2.0, -1.0, 3.0)
@@ -145,6 +165,12 @@ class TestSerializeConfig:
             tables=("mprofile",),
         )
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_zero_profile_round_trip(self):
+        # a zero profile's other fields are not written, so every zero profile is one value
+        cfg = RunConfig(psi2=ProfileSpec(kind="zero"))
+        assert parse_config(serialize_config(cfg)) == cfg
+        assert ProfileSpec("zero", 2.0, 3.0, -1.0, 4.0) == cfg.psi2 == ZERO_PROFILE
 
     def test_scenario_a_text_is_pinned(self):
         assert serialize_config(SCENARIO_A) == (
@@ -256,6 +282,13 @@ class TestTables:
         with pytest.raises(OSError, match="cannot write table"):
             with open_table(str(tmp_path), ["t"]):
                 pass
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.tsv"
+        path.write_text("# a\tb\n1\t2\n\n  \n3\t4\n")
+        header, rows = read_table(str(path))
+        assert header == ["a", "b"]
+        assert np.array_equal(rows, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -269,6 +269,10 @@ class TestScheduleAndEvolve:
         with pytest.raises(ValueError):
             Schedule(0.01, (1, 2000))
 
+    def test_schedule_rejects_descending_steps(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Schedule(0.01, (0, 2, 1))
+
     def test_schedule_rejects_non_integer_steps(self):
         with pytest.raises(ValueError, match="integers"):
             Schedule(0.01, (0, 50.5, 100))
@@ -581,6 +585,11 @@ class TestSystemStateValidation:
     def test_negative_time(self, grid, unit_gaussian):
         with pytest.raises(ValueError):
             SystemState(-1.0, unit_gaussian, unit_gaussian)
+
+    @pytest.mark.parametrize("epsilon", [-0.1, np.nan])
+    def test_initial_amplitude_must_be_finite_and_non_negative(self, grid, unit_gaussian, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            initial_state(grid, unit_gaussian, unit_gaussian, epsilon)
 
     def test_frequency_side_rejected(self, grid, unit_gaussian):
         from nlslab import forward_ft

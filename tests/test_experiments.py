@@ -15,6 +15,7 @@ from nlslab import (
     SCENARIO_A,
     SCENARIO_B,
     SimulationAbort,
+    SweepRecord,
     TrajectoryRecorder,
     apriori_diagnostics,
     build_profile,
@@ -93,6 +94,10 @@ class TestFitOrder:
             fit_order([0.1, 0.1, 0.2, 0.8], [1, 2, 3, 4])  # only 3 distinct
         with pytest.raises(ValueError):
             fit_order([0.05, 0.1, 0.2, 0.4], [1.0, 0.0, 2.0, 3.0])  # zero defect
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            fit_order([0.05, 0.1, 0.2, 0.4], [1.0, 2.0, 3.0])
 
 
 class TestRunCase:
@@ -518,6 +523,10 @@ def reports():
 
 
 class TestSweep:
+    def test_record_rejects_a_negative_defect(self):
+        with pytest.raises(ValueError, match="theorem_defect must be finite and >= 0"):
+            SweepRecord(0.1, 0.0, 0.0, -1e-12, 0.0, 0.0, 1e-8, 1.0, 1.0, 10)
+
     def test_lemma_orders_near_cubic(self, tiny_sweep):
         assert 2.7 < tiny_sweep.lemma_fit1.slope < 3.3
         assert 2.7 < tiny_sweep.lemma_fit2.slope < 3.3
@@ -601,6 +610,21 @@ class TestAprioriDiagnostics:
         assert rep.t_of_max == pytest.approx(1.0, abs=1e-9)
         # free flow: both mass and J-norm are exactly conserved
         assert abs(rep.growth_exponent) < 1e-6
+
+    def test_empty_record_rejected(self):
+        with pytest.raises(ValueError, match="empty trajectory record"):
+            apriori_diagnostics(TrajectoryRecorder(), 0.1)
+
+    def test_record_without_j_norms_has_no_growth_fit(self):
+        # the sup-norm constant is still fitted: the free packet's 2^(1/4) at t = 1
+        grid = make_grid(512, 64.0)
+        rec = TrajectoryRecorder(with_j_norm=False)
+        sched = make_schedule(dt=0.01, t_final=5.0, grow_after=np.inf)
+        evolve(initial_state(grid, gaussian_profile(grid), zero_field(grid), 0.1), sched, rec)
+        rep = apriori_diagnostics(rec, 0.1)
+        assert rep.c_inf == pytest.approx(2.0**0.25, abs=1e-9)
+        assert rep.t_of_max == pytest.approx(1.0, abs=1e-9)
+        assert rep.growth_exponent is None and rep.growth_intercept is None
 
     def test_zero_amplitude_reports_zero(self):
         grid = make_grid(256, 32.0)

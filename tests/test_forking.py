@@ -1,6 +1,7 @@
 """`forking.side` runs a sink the same way in a forked helper and in this process."""
 
 import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -81,3 +82,21 @@ def test_no_side_work_forks_nothing(monkeypatch):
     pin_writer(monkeypatch, "forked")
     grid, _ = _states()
     assert type(forking.side(grid, _ToySink(), fork=False)).__name__ == "_InProcess"
+
+
+def test_a_write_cut_short_is_finished(monkeypatch):
+    # `os.writev` may write only a prefix of a state, as when a signal cuts
+    # it short; the rest must follow, or the helper reads the stream out of step
+    pin_writer(monkeypatch, "forked")
+    calls = []
+
+    def short_writev(fd, buffers):
+        data = b"".join(buffers)
+        calls.append(len(data))
+        return os.write(fd, data[: len(data) // 3])
+
+    monkeypatch.setattr(os, "writev", short_writev)
+    kind, (pairs, _), _ = _run(None)
+    _, states = _states()
+    assert kind == "_StreamHelper" and len(calls) == len(states)
+    assert pairs == [(s.t, s.u1.values.tobytes(), s.u2.values.tobytes(), False) for s in states]

@@ -6,6 +6,7 @@ runs are compared with each other.
 
 import importlib.util
 import multiprocessing
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,17 +16,23 @@ from conftest import pin_writer
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
 
-@pytest.fixture(scope="module")
-def runs():
-    """The small manifest's digests: forked twice, then in this process."""
+def _tool():
     spec = importlib.util.spec_from_file_location("output_digest", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """The small manifest's digests: forked twice, then in this process; every run succeeds."""
+    tool = _tool()
     digests = {}
     for run in ("forked", "forked again", "in-process"):
         with pytest.MonkeyPatch.context() as pinned:
             pin_writer(pinned, run.split()[0])
-            digests[run] = tool.digests(small=True)
+            digests[run], failed = tool.digests(small=True)
+        assert failed == {}
         assert multiprocessing.active_children() == []
     return digests
 
@@ -45,3 +52,22 @@ def test_swap_maps_outputs_onto_each_other(runs):
     unswapped = {name for name in digests if name.startswith("scenario-B/")}
     assert set(swapped) == unswapped - {"scenario-B/alpha2_norm_seq"}
     assert {name: digests[name] for name in swapped} == swapped
+
+
+def test_a_failed_run_fails_the_tool_after_every_line(monkeypatch, capsys):
+    # equal lists on both paths prove nothing when a run fails on both
+    tool = _tool()
+    entries = [("no-config", tool._cli(["evolve", "absent.cfg"])), ("fine", lambda workdir: {"value": "x"})]
+    monkeypatch.setattr(tool, "manifest", lambda small, tree: entries)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the tree's src/ first
+    assert tool.main(["--small"]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split("  ")[0] for line in out.splitlines()] == [
+        "no-config/exit",
+        "no-config/stdout",
+        "no-config/stderr",
+        "no-config/warnings",
+        "fine/value",
+        "fine/warnings",
+    ]
+    assert err == "failed run: no-config exited 1\n"

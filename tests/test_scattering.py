@@ -9,6 +9,7 @@ from nlslab import (
     BOTH_VANISH,
     FIRST_SURVIVES,
     SECOND_SURVIVES,
+    MProfile,
     SimulationAbort,
     SpectralSnapshot,
     SystemState,
@@ -593,6 +594,20 @@ class TestSnapshotValidation:
     def test_space_side_rejected(self, grid, unit_gaussian):
         with pytest.raises(ValueError):
             SpectralSnapshot(0.0, unit_gaussian, unit_gaussian)
+
+    def test_negative_time_rejected(self, grid, unit_gaussian):
+        a = forward_ft(unit_gaussian)
+        with pytest.raises(ValueError, match="snapshot time must be finite and >= 0"):
+            SpectralSnapshot(-1.0, a, a)
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [(np.zeros(511), "profile length must match the grid"), (np.full(512, np.nan), "non-finite values")],
+        ids=["length", "nan"],
+    )
+    def test_m_profile_rejects_bad_values(self, grid, values, match):
+        with pytest.raises(ValueError, match=match):
+            MProfile(grid, values, 5.0)
 
     def test_grid_mismatch_rejected(self, grid, unit_gaussian):
         other = make_grid(128, 64.0)

@@ -290,6 +290,10 @@ class TestJNorm:
     def test_zero_field(self, zero):
         assert j_norm(zero, 3.0) == 0.0
 
+    def test_non_finite_time_rejected(self, unit_gaussian):
+        with pytest.raises(ValueError, match="time must be finite"):
+            j_norm(unit_gaussian, np.inf)
+
     def test_free_flow_invariance(self, unit_gaussian):
         base = j_norm(unit_gaussian, 0.0)
         for t in (0.5, 4.0, 30.0):

@@ -9,7 +9,10 @@ per output: each table a CLI command writes, its exit code, stdout and
 stderr, each array of a `CaseResult` and the warnings a run emits.  The
 helper path is this process's: with two usable cores `run_case` and
 `nlslab evolve` fork their helper, and under `taskset -c 0` they run it
-in-process, so the lists of the two runs must be equal.
+in-process, so the lists of the two runs must be equal.  After the last
+line it names on stderr each CLI run that exited non-zero and exits 1, as
+equal lists prove nothing when a run fails on both paths; a run that
+raises stops it.
 
 The manifest:
   * the three benchmark workload configs at seed 0, run as the benchmark
@@ -22,12 +25,17 @@ The manifest:
     `scenario` for each name and `verify`;
   * runs with an explicit `time.dt` or `Schedule`: the tests' tiny configs
     and criterion 04's fixed-step schedules.
-`--small` keeps only Scenario B, its swap and three small CLI runs.
+`--small` keeps Scenario B, its swap and the small CLI runs: `evolve` on
+the tiny config, `evolve` on the small `t = 5` config with both table sets
+and with each alone, and `mprofile`, `sweep` and `scenario B` on the small
+`t = 20` config (n = 256, L = 64, the default dt).  CI runs `--small` as
+its check that forked and in-process runs write the same bytes.
 
 The second form runs the manifest in child processes on this tree and on
 TREE, each with this process's cores and under `taskset -c 0`, and lists
 every output whose digest differs between the trees, or between the two
-paths of one tree.  It exits 0 when nothing differs and 1 otherwise.  It
+paths of one tree.  It exits 0 when nothing differs and 1 otherwise; a
+failed run in either tree stops it with that child's error.  It
 lists what moved; it never says whether a move is right.  Digests depend
 on the numpy build and the CPU, so compare lists made on one machine.
 """
@@ -171,13 +179,17 @@ def manifest(small: bool = False, tree: str = ROOT) -> list:
     scenario = {"A": SCENARIO_A, "B": SCENARIO_B, "symmetric": SCENARIO_SYMMETRIC}
     small_case = {name: replace(cfg, grid_n=256, grid_length=64.0, t_final=20.0) for name, cfg in scenario.items()}
     b = small_case["B"]
+    small_evolve = SMALL.format(t=5) + "epsilon = 0.1\n"
     entries = [
         ("scenario-B", _run_case(b)),
         ("swap:scenario-B", _run_case(replace(b, psi1=b.psi2, psi2=b.psi1), swapped_back)),
         ("evolve-tiny", _cli(["evolve"], TINY)),
-        ("evolve-small", _cli(["evolve"], SMALL.format(t=5) + "epsilon = 0.1\n")),
-        ("mprofile-small", _cli(["mprofile"], SMALL.format(t=20))),
+        ("evolve-small", _cli(["evolve"], small_evolve)),
     ]
+    for tables in ("observers", "snapshots"):  # evolve-small writes both
+        entries.append((f"evolve-small-{tables}", _cli(["evolve"], small_evolve + f"outputs.tables = {tables}\n")))
+    entries += [(f"{name}-small", _cli([name], SMALL.format(t=20))) for name in ("mprofile", "sweep")]
+    entries.append(("scenario-B-cli", _cli(["scenario", "B"], SMALL.format(t=20))))
     if small:
         return entries
     module = _workloads(tree)
@@ -191,16 +203,15 @@ def manifest(small: bool = False, tree: str = ROOT) -> list:
     entries.append(("tiny", _run_case(RunConfig(grid_n=256, grid_length=32.0, dt=0.01, t_final=20.0))))
     for tables in ("observers", "snapshots"):  # evolve-tiny writes both
         entries.append((f"evolve-tiny-{tables}", _cli(["evolve"], TINY + f"outputs.tables = {tables}\n")))
-    entries.append(("sweep-small", _cli(["sweep"], SMALL.format(t=20))))
-    entries += [(f"scenario-{name}-cli", _cli(["scenario", name], SMALL.format(t=20))) for name in scenario]
+    entries += [(f"scenario-{name}-cli", _cli(["scenario", name], SMALL.format(t=20))) for name in ("A", "symmetric")]
     entries.append(("verify", _cli(["verify"])))
     entries += [(f"criterion-04-dt-{dt:g}", _fixed_schedule(dt)) for dt in (0.02, 0.01, 0.00125)]
     return entries
 
 
-def digests(small: bool = False, tree: str = ROOT) -> dict:
-    """The digest of every output of the manifest, by `entry/output` name, in manifest order."""
-    lines = {}
+def digests(small: bool = False, tree: str = ROOT) -> tuple[dict, dict]:
+    """Every output's digest by `entry/output` name, in manifest order, and each failed CLI run's exit code by entry."""
+    lines, failed = {}, {}
     for entry, run in manifest(small, tree):
         workdir = tempfile.mkdtemp(prefix="output-digest-")
         try:
@@ -210,9 +221,11 @@ def digests(small: bool = False, tree: str = ROOT) -> dict:
         finally:
             shutil.rmtree(workdir)
         outputs["warnings"] = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        if outputs.get("exit", "0") != "0":
+            failed[entry] = outputs["exit"]
         for name, value in outputs.items():
             lines[f"{entry}/{name}"] = digest(*value) if isinstance(value, list) else digest(value)
-    return lines
+    return lines, failed
 
 
 def _child_digests(tree: str, small: bool, one_core: bool) -> dict:
@@ -266,9 +279,12 @@ def main(argv=None) -> int:
 
     if not os.path.abspath(nlslab.__file__).startswith(src + os.sep):
         raise SystemExit(f"nlslab was imported from {nlslab.__file__}, not from {src}")
-    for name, sha in digests(args.small, os.path.abspath(args.tree)).items():
+    lines, failed = digests(args.small, os.path.abspath(args.tree))
+    for name, sha in lines.items():
         print(f"{name}  {sha}")
-    return 0
+    for entry, code in failed.items():
+        print(f"failed run: {entry} exited {code}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
