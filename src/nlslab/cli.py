@@ -7,11 +7,12 @@ samples, mass growth, or a failed self-check in `verify`).
 `mprofile`, `sweep` and `scenario` analyse each case through `run_case`,
 whose pass over the snapshots is a `forking` sink.  `evolve` opens
 `snapshots.tsv` before the run and writes its blocks after it.  Its side
-work is one sink too, `_EvolveSink`, which `forking.side` runs in a forked
-helper where it can and in this process otherwise.  When `observers.tsv`
-is wanted, the sink is sent every observer state while the run goes on and
-runs the trajectory recorder on each; its rows come back after the run and
-this process writes the table.  When `snapshots.tsv` is wanted, the sink
+work is one sink too, `_EvolveSink`, which `forking.side` runs in the
+process's one helper, forked at its first run and reused, where it can,
+and in this process otherwise; the sink is sent to the helper pickled.
+When `observers.tsv` is wanted, the sink is sent every observer state
+while the run goes on and runs the trajectory recorder on each; its rows
+come back after the run and this process writes the table.  When `snapshots.tsv` is wanted, the sink
 is then sent every other snapshot and formats their blocks, while this
 process formats the rest and writes them all in order.  A run with neither
 forks nothing.  Every table is opened through `tables.open_table`, so an
@@ -72,7 +73,7 @@ class _EvolveSink:
     With a recorder, state k < `count_steps(schedule) + 1` is evolve's k-th
     observer state.  A recorder abort is worded as evolve words an
     observer's.  The result is the recorder's rows, and the kept snapshots'
-    blocks follow it.
+    blocks follow it.  It pickles, its block formatter as the grid's points.
     """
 
     def __init__(self, recorder, schedule, format_block):
@@ -115,8 +116,9 @@ def _cmd_evolve(args: list[str]) -> int:
         # a helper process pays only for a recorder or an odd block to format
         helped = recorder is not None or (format_block is not None and len(schedule.snapshot_steps) >= 2)
         sink = _EvolveSink(recorder, schedule, format_block)
-        # forked after the header is flushed and before any block is
-        # written, so a helper holds no buffered part of the table
+        # a helper forked here is forked after the header is flushed and
+        # before any block is written, and one forked at an earlier run
+        # never had the table open, so no helper holds a buffered part of it
         helper = stack.enter_context(side(state0.grid, sink, helped, None if format_block else observers))
         snapshots = evolve(state0, schedule, helper.send if recorder is not None else None)
         for state in snapshots[1::2] if format_block is not None else ():

@@ -17,9 +17,10 @@ degrade at larger amplitudes, while much smaller eps pushes the quartic
 remainder under the quadrature floor.
 
 A case's analysis is one pass over its snapshots, fed each one as `evolve`
-appends it, through `forking.side`: in a helper on a second core where it
-can fork one (two usable cores and `fork`, outside a daemonic process such
-as a pool worker), else in this process.  Both give bitwise the same
+appends it, through `forking.side`: on a second core where it can fork
+(two usable cores and `fork`, outside a daemonic process such as a pool
+worker), in the process's one helper, forked at its first case and reused
+by every later one, else in this process.  Both give bitwise the same
 `CaseResult`.
 """
 
@@ -248,14 +249,15 @@ def run_case(cfg: RunConfig, epsilon: float | None = None) -> CaseResult:
     T and both thresholds.
 
     The pass is the `forking` sink, fed each snapshot as `evolve` appends
-    it: in one forked helper where `forking.side` can fork one, else in
-    this process.  `run_case` reads the anchor and final amplitudes, the
-    profile and the monitors straight off it.  The result is bitwise the
-    same either way, read-only flags included.  An abort of the pass is
-    raised after the run with its wording and time, unless `evolve`
-    aborts, which wins; the helper's warnings are re-emitted here, each
-    once; and a helper that dies raises `ChildProcessError` naming its exit
-    code.
+    it: in the process's one helper where `forking.side` can fork, forked
+    at the first case and reused by every later one, else in this process.
+    `run_case` reads the anchor and final amplitudes, the profile and the
+    monitors straight off it.  The result is bitwise the same either way,
+    read-only flags included.  An abort of the pass is raised after the
+    run with its wording and time, unless `evolve` aborts, which wins; the
+    helper's warnings are re-emitted here, each once; and a helper that
+    dies raises `ChildProcessError` naming its exit code, and the next case
+    forks a new one.  The helper ends with this process.
     """
     eps = cfg.epsilon_single() if epsilon is None else float(epsilon)
     if cfg.t_final < T_ANCHOR:

@@ -74,15 +74,25 @@ def block_formatter(x):
     """format_block(t, values) -> the rows (t, x[k], values[4k:4k+4]) as write_table writes them.
 
     The strings of x are made once here and t's once per block; one `%`
-    call over the block's 4·len(x) values fills the rest.
+    call over the block's 4·len(x) values fills the rest.  It pickles as
+    x, not as its strings.
     """
-    tails = ["\t" + _NUMBER % xk + ("\t" + _NUMBER) * 4 + "\n" for xk in x.tolist()]
+    return _BlockFormatter(x)
 
-    def format_block(t: float, values) -> str:
+
+class _BlockFormatter:
+    """`block_formatter`'s result."""
+
+    def __init__(self, x):
+        self.x = x
+        self.tails = ["\t" + _NUMBER % xk + ("\t" + _NUMBER) * 4 + "\n" for xk in x.tolist()]
+
+    def __reduce__(self):
+        return type(self), (self.x,)
+
+    def __call__(self, t: float, values) -> str:
         ts = _NUMBER % t
-        return (ts + ts.join(tails)) % tuple(values.tolist())
-
-    return format_block
+        return (ts + ts.join(self.tails)) % tuple(values.tolist())
 
 
 def read_table(path: str) -> tuple[list[str], np.ndarray]:

@@ -1,4 +1,5 @@
 import contextlib
+import multiprocessing
 import os
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import settings
 settings.register_profile("nlslab", derandomize=True, deadline=None, database=None)
 settings.load_profile("nlslab")
 
-from nlslab import ComplexField, SPACE, gaussian_profile, make_grid, zero_field
+from nlslab import ComplexField, SPACE, forking, gaussian_profile, make_grid, zero_field
 
 
 def pin_writer(monkeypatch, writer):
@@ -25,6 +26,27 @@ def pin_writer(monkeypatch, writer):
         return
     cores = {0, 1} if writer == "forked" else {0}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+
+
+def assert_helpers_end():
+    """At most `forking`'s one helper is alive, and none once `forking._stop`, which runs at exit, has run."""
+    helper = forking._helper
+    assert [p for p in multiprocessing.active_children() if helper is None or p is not helper.proc] == []
+    forking._stop()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def no_helper():
+    """No helper before the test and none after it.
+
+    The helper runs code as it was at its fork: a test that patches that
+    code, or the fork itself, needs a helper forked after its patches, and
+    must not leave it to later tests.
+    """
+    forking._stop()
+    yield
+    forking._stop()
 
 
 @pytest.fixture

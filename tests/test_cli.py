@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import subprocess
@@ -23,9 +24,9 @@ from nlslab import (
 import nlslab.checks
 import nlslab.cli
 import nlslab.forking
-from conftest import pin_writer
+from conftest import assert_helpers_end, pin_writer
 from nlslab.cli import main
-from nlslab.tables import read_table, write_table
+from nlslab.tables import block_formatter, read_table, write_table
 
 TINY = """\
 grid.n = 64
@@ -73,6 +74,82 @@ def _package_env():
     """This process's environment with this package's directory first on PYTHONPATH, for a child interpreter."""
     src = os.path.dirname(os.path.dirname(nlslab.cli.__file__))
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# The recorders and formatters below replace evolve's through `nlslab.cli`;
+# a helper is sent them pickled, so they live at module scope.
+
+
+def _log_pid(log, kind):
+    with open(log, "a") as fh:
+        fh.write(f"{kind} {os.getpid()}\n")
+
+
+class _LoggingFormatter:
+    """A block formatter that logs the pid of each process it formats a block in."""
+
+    def __init__(self, x, log):
+        self.format_block, self.log = block_formatter(x), log
+
+    def __call__(self, t, values):
+        _log_pid(self.log, "format")
+        return self.format_block(t, values)
+
+
+class _ElsewhereFailingFormatter:
+    """A block formatter that fails in any process but `here`."""
+
+    def __init__(self, x, here):
+        self.format_block, self.here = block_formatter(x), here
+
+    def __call__(self, t, values):
+        if os.getpid() != self.here:
+            raise RuntimeError("injected")
+        return self.format_block(t, values)
+
+
+class _LoggingRecorder(TrajectoryRecorder):
+    """A recorder that logs the pid of each process it records a state in."""
+
+    def __init__(self, with_j_norm=True, log=None):
+        super().__init__(with_j_norm)
+        self.log = log
+
+    def __call__(self, state):
+        _log_pid(self.log, "record")
+        super().__call__(state)
+
+
+class _AbortingRecorder(TrajectoryRecorder):
+    """A recorder that aborts from `abort_t` on, naming where it aborts if it is told `here`."""
+
+    def __init__(self, with_j_norm=True, abort_t=4.5, here=None):
+        super().__init__(with_j_norm)
+        self.abort_t, self.here = abort_t, here
+
+    def __call__(self, state):
+        if state.t >= self.abort_t:
+            where = "" if self.here is None else f" in {'this process' if os.getpid() == self.here else 'the helper'}"
+            raise SimulationAbort(f"injected{where}")
+        super().__call__(state)
+
+
+class _DyingRecorder(TrajectoryRecorder):
+    """A recorder whose process exits with code 3 past t = 3, unless it is `here`."""
+
+    def __init__(self, with_j_norm=True, here=None):
+        super().__init__(with_j_norm)
+        self.here = here
+
+    def __call__(self, state):
+        if os.getpid() != self.here and state.t > 3.0:
+            os._exit(3)
+        super().__call__(state)
+
+
+class _UncalledRecorder(TrajectoryRecorder):
+    def __call__(self, state):
+        raise AssertionError("the recorder ran with no observers.tsv to write")
 
 
 class TestDispatch:
@@ -205,28 +282,8 @@ class TestEvolveCommand:
 
     def test_forked_writer_matches_the_in_process_one(self, tmp_path, monkeypatch, capsys):
         pid_log = tmp_path / "pids"
-        make_formatter = nlslab.cli.block_formatter
-
-        def log_pid(kind):
-            with open(pid_log, "a") as fh:
-                fh.write(f"{kind} {os.getpid()}\n")
-
-        def logging_block_formatter(x):
-            format_block = make_formatter(x)
-
-            def logged(t, values):
-                log_pid("format")
-                return format_block(t, values)
-
-            return logged
-
-        class LoggingRecorder(TrajectoryRecorder):
-            def __call__(self, state):
-                log_pid("record")
-                super().__call__(state)
-
-        monkeypatch.setattr(nlslab.cli, "block_formatter", logging_block_formatter)
-        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", LoggingRecorder)
+        monkeypatch.setattr(nlslab.cli, "block_formatter", functools.partial(_LoggingFormatter, log=pid_log))
+        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", functools.partial(_LoggingRecorder, log=pid_log))
         here = str(os.getpid())
         # TINY's 5 has eight snapshots; 0.01 has two, so one odd block; 0 has one, so none
         for tables in ("observers, snapshots", "snapshots", "observers"):
@@ -240,7 +297,7 @@ class TestEvolveCommand:
                         run_dir.mkdir(parents=True)
                         cfg, out = write_cfg(run_dir, text)
                         assert main(["evolve", cfg]) == 0
-                    assert multiprocessing.active_children() == []
+                    assert_helpers_end()
                     stdout = capsys.readouterr().out.replace(out, "<out>")
                     outputs[writer] = stdout, {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}
                     logged = [line.split() for line in pid_log.read_text().splitlines()] if pid_log.exists() else []
@@ -262,7 +319,7 @@ class TestEvolveCommand:
                     "record": {child} if observers else set(),
                 }, case
 
-    def test_forking_the_writer_warns_of_nothing(self, tmp_path, monkeypatch, capsys):
+    def test_forking_the_writer_warns_of_nothing(self, tmp_path, monkeypatch, capsys, no_helper):
         # Python 3.12+ warns on every fork of a process with threads, such
         # as numpy's OpenBLAS pool; here every version's fork warns so
         real_fork = os.fork
@@ -281,7 +338,7 @@ class TestEvolveCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["evolve", cfg]) == 0
-        assert multiprocessing.active_children() == []
+        assert_helpers_end()
         assert os.path.getsize(os.path.join(out, "snapshots.tsv")) > 0
 
     def test_snapshot_blocks_are_the_schedule_times(self, tmp_path, capsys, writer):
@@ -299,51 +356,42 @@ class TestEvolveCommand:
         if abort == "mid-run":
             # TINY's snapshots are 0, 2, 2.38, 2.83, 3.36, 4, 4.76 and 5: the
             # run aborts past t = 4.5, after six of them, and no block is written
-            class AbortingRecorder(TrajectoryRecorder):
-                def __call__(self, state):
-                    if state.t > 4.5:
-                        raise SimulationAbort("injected")
-                    super().__call__(state)
-
-            monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", AbortingRecorder)
+            monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", _AbortingRecorder)
         cfg, out = write_cfg(tmp_path, TINY if abort == "mid-run" else MASS_OVERFLOW)
         assert main(["evolve", cfg]) == 2
         err = capsys.readouterr().err
         assert "runtime abort" in err and ("injected at step" if abort == "mid-run" else "at step 0") in err
-        assert multiprocessing.active_children() == []
+        assert_helpers_end()
         # the output directory is made before the run, and left empty
         assert os.listdir(out) == []
 
-    def test_one_helper_runs_during_the_run_and_none_after(self, tmp_path, monkeypatch, capsys, writer):
-        # the helper is forked before the run and joined before main returns
+    def test_one_helper_runs_during_the_run_and_the_same_on_the_next(self, tmp_path, monkeypatch, capsys, writer, no_helper):
+        # the helper is forked at the first run and kept for the next
         children = []
 
         def probing_evolve(state0, schedule, observer=None):
             def probe(state):
-                children.append(len(multiprocessing.active_children()))
+                children.append(tuple(p.pid for p in multiprocessing.active_children()))
                 observer(state)
 
             return evolve(state0, schedule, probe)
 
         monkeypatch.setattr(nlslab.cli, "evolve", probing_evolve)
-        cfg, out = write_cfg(tmp_path, TINY)
-        assert main(["evolve", cfg]) == 0
-        assert multiprocessing.active_children() == []
-        assert set(children) == ({1} if writer == "forked" else {0}) and len(children) == 223
-        assert sorted(os.listdir(out)) == ["observers.tsv", "snapshots.tsv"]
+        for run in ("first", "next"):
+            (tmp_path / run).mkdir()
+            cfg, out = write_cfg(tmp_path / run, TINY)
+            assert main(["evolve", cfg]) == 0
+            assert sorted(os.listdir(out)) == ["observers.tsv", "snapshots.tsv"]
+        assert len(children) == 2 * 223 and len(set(children)) == 1
+        assert len(children[0]) == (1 if writer == "forked" else 0)
+        assert_helpers_end()
 
     @pytest.mark.parametrize("abort_t", [4.5, 0.0])
     def test_recorder_abort_in_the_helper_is_worded_as_evolve_words_it(self, tmp_path, monkeypatch, capsys, abort_t):
         # evolve names the step and time of an observer's abort after step
         # 0; the helper's abort reaches main with the same words
-        class AbortingRecorder(TrajectoryRecorder):
-            def __call__(self, state):
-                if state.t >= abort_t:
-                    raise SimulationAbort(f"injected in {'this process' if os.getpid() == here else 'the helper'}")
-                super().__call__(state)
-
-        here = os.getpid()
-        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", AbortingRecorder)
+        aborting = functools.partial(_AbortingRecorder, abort_t=abort_t, here=os.getpid())
+        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", aborting)
         errs = {}
         for writer in ("forked", "in-process"):
             with monkeypatch.context() as pinned:
@@ -352,7 +400,7 @@ class TestEvolveCommand:
                 run_dir.mkdir()
                 cfg, out = write_cfg(run_dir, TINY)
                 assert main(["evolve", cfg]) == 2
-            assert multiprocessing.active_children() == []
+            assert_helpers_end()
             assert os.listdir(out) == []
             errs[writer] = capsys.readouterr().err
         where = "" if abort_t == 0.0 else " at step 219, t = 4.57"  # TINY's first step past 4.5
@@ -381,37 +429,18 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("tables, named", [("observers, snapshots", "snapshots.tsv"), ("observers", "observers.tsv")])
     def test_helper_that_dies_is_a_write_error(self, tmp_path, monkeypatch, capsys, tables, named):
-        class DyingRecorder(TrajectoryRecorder):
-            def __call__(self, state):
-                if os.getpid() != here and state.t > 3.0:
-                    os._exit(3)
-                super().__call__(state)
-
-        here = os.getpid()
-        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", DyingRecorder)
+        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", functools.partial(_DyingRecorder, here=os.getpid()))
         pin_writer(monkeypatch, "forked")
         cfg, out = write_cfg(tmp_path, TINY + f"outputs.tables = {tables}\n")
         assert main(["evolve", cfg]) == 1
         err = capsys.readouterr().err
         assert f"cannot write table {os.path.join(out, named)!r}: helper process exited with code 3" in err, err
-        assert multiprocessing.active_children() == []
+        assert_helpers_end()
         assert os.listdir(out) == []
 
     def test_formatter_failing_in_another_process_is_a_write_error(self, tmp_path, monkeypatch, capsys, writer):
-        make_formatter = nlslab.cli.block_formatter
-        here = os.getpid()
-
-        def formatter_failing_elsewhere(x):
-            format_block = make_formatter(x)
-
-            def checked(t, values):
-                if os.getpid() != here:
-                    raise RuntimeError("injected")
-                return format_block(t, values)
-
-            return checked
-
-        monkeypatch.setattr(nlslab.cli, "block_formatter", formatter_failing_elsewhere)
+        failing = functools.partial(_ElsewhereFailingFormatter, here=os.getpid())
+        monkeypatch.setattr(nlslab.cli, "block_formatter", failing)
         cfg, out = write_cfg(tmp_path, TINY)
         if writer == "in-process":
             # every block is formatted here, so nothing fails
@@ -421,7 +450,7 @@ class TestEvolveCommand:
         assert main(["evolve", cfg]) == 1
         err = capsys.readouterr().err
         assert "cannot write table" in err and "exited with code 1" in err
-        assert multiprocessing.active_children() == []
+        assert_helpers_end()
         assert os.listdir(out) == []
 
     def test_unwritable_table_fails_before_the_run(self, tmp_path, monkeypatch, capsys, writer):
@@ -432,9 +461,9 @@ class TestEvolveCommand:
         assert main(["evolve", cfg]) == 1
         assert "cannot write table" in capsys.readouterr().err
         assert runs == []
-        assert multiprocessing.active_children() == []
+        assert_helpers_end()
 
-    def test_writer_that_cannot_start_leaves_no_table(self, tmp_path, monkeypatch, capsys):
+    def test_writer_that_cannot_start_leaves_no_table(self, tmp_path, monkeypatch, capsys, no_helper):
         fork = multiprocessing.get_context("fork")
 
         class Unstartable(fork.Process):
@@ -445,7 +474,7 @@ class TestEvolveCommand:
         cfg, out = write_cfg(tmp_path, TINY)
         assert main(["evolve", cfg]) == 1
         assert "cannot fork" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert_helpers_end()
         assert os.listdir(out) == []
 
     def test_evolve_in_a_daemonic_worker_writes_the_in_process_tables(self, tmp_path, monkeypatch, capsys):
@@ -466,7 +495,7 @@ class TestEvolveCommand:
         assert main(["evolve", cfg]) == 1
         err = capsys.readouterr().err
         assert "cannot write table" in err and "No space left on device" in err
-        assert multiprocessing.active_children() == []
+        assert_helpers_end()
         assert os.listdir(out) == []
 
     def test_epsilon_list_rejected(self, tmp_path, capsys):
@@ -507,12 +536,7 @@ class TestEvolveCommand:
         alone.mkdir()
         cfg, _ = write_cfg(both, TINY)
         assert main(["evolve", cfg]) == 0
-
-        class UncalledRecorder(TrajectoryRecorder):
-            def __call__(self, state):
-                raise AssertionError("the recorder ran with no observers.tsv to write")
-
-        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", UncalledRecorder)
+        monkeypatch.setattr(nlslab.cli, "TrajectoryRecorder", _UncalledRecorder)
         cfg, out = write_cfg(alone, TINY + "outputs.tables = snapshots\n")
         assert main(["evolve", cfg]) == 0
         assert os.listdir(out) == ["snapshots.tsv"]
@@ -539,7 +563,7 @@ class TestMProfileCommand:
         assert header2 == ["xi", "m_endpoint", "tag"]
         assert set(np.unique(rows2[:, 2])) <= {-1.0, 0.0, 1.0}
 
-    def test_analysis_helper_that_dies_exits_1(self, tmp_path, monkeypatch, capsys):
+    def test_analysis_helper_that_dies_exits_1(self, tmp_path, monkeypatch, capsys, no_helper):
         here = os.getpid()
         real_rho_row = nlslab.scattering._rho_row
 
@@ -553,7 +577,7 @@ class TestMProfileCommand:
         cfg, out = write_cfg(tmp_path, TINY)
         assert main(["mprofile", cfg]) == 1
         assert capsys.readouterr().err == "error: helper process exited with code 3\n"
-        assert multiprocessing.active_children() == []
+        assert_helpers_end()
         assert not os.path.exists(out)  # made only after the run
 
     def test_failed_profile_write_leaves_no_table(self, tmp_path, capsys, full_disk):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import pin_writer
+from conftest import assert_helpers_end, pin_writer
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
@@ -25,7 +25,10 @@ def _tool():
 
 @pytest.fixture(scope="module")
 def runs():
-    """The small manifest's digests: forked twice, then in this process; every run succeeds."""
+    """The small manifest's digests: forked twice, through one helper each time, then in this process.
+
+    Every run succeeds.
+    """
     tool = _tool()
     digests = {}
     for run in ("forked", "forked again", "in-process"):
@@ -33,7 +36,7 @@ def runs():
             pin_writer(pinned, run.split()[0])
             digests[run], failed = tool.digests(small=True)
         assert failed == {}
-        assert multiprocessing.active_children() == []
+        assert_helpers_end()
     return digests
 
 
@@ -71,3 +74,16 @@ def test_a_failed_run_fails_the_tool_after_every_line(monkeypatch, capsys):
         "fine/warnings",
     ]
     assert err == "failed run: no-config exited 1\n"
+
+
+def test_more_than_one_helper_alive_fails_the_tool(monkeypatch, capsys):
+    # the manifest runs through one helper; any other child left alive is a leak
+    tool = _tool()
+    monkeypatch.setattr(tool, "manifest", lambda small, tree: [("fine", lambda workdir: {"value": "x"})])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the tree's src/ first
+    for alive, code in ((["helper"], 0), (["helper", "stray"], 1)):
+        monkeypatch.setattr(multiprocessing, "active_children", lambda: alive)
+        assert tool.main(["--small"]) == code
+        out, err = capsys.readouterr()
+        assert [line.split("  ")[0] for line in out.splitlines()] == ["fine/value", "fine/warnings"]
+        assert err == ("" if code == 0 else "2 child processes alive after the manifest; the helper is one\n")

@@ -185,7 +185,7 @@ class TestClosedForm:
         transforms.assert_one_call_per_state(case.states, anchor=1)
         assert propagate_calls == []
 
-    def test_forked_run_case_transforms_each_snapshot_once_in_the_helper(self, monkeypatch, tmp_path):
+    def test_forked_run_case_transforms_each_snapshot_once_in_the_helper(self, monkeypatch, tmp_path, no_helper):
         # the helper receives each snapshot once, in order, and transforms it
         # once; the log is a file, since the helper's memory is its own
         pin_writer(monkeypatch, "forked")

@@ -8,11 +8,14 @@ The first form runs the manifest in this process on the package under
 per output: each table a CLI command writes, its exit code, stdout and
 stderr, each array of a `CaseResult` and the warnings a run emits.  The
 helper path is this process's: with two usable cores `run_case` and
-`nlslab evolve` fork their helper, and under `taskset -c 0` they run it
-in-process, so the lists of the two runs must be equal.  After the last
-line it names on stderr each CLI run that exited non-zero and exits 1, as
-equal lists prove nothing when a run fails on both paths; a run that
-raises stops it.
+`nlslab evolve` run their side work in this process's one helper, forked
+at the first run and reused by every later one, so the forked list runs
+the whole manifest through one helper; under `taskset -c 0` they run it
+in-process.  The lists of the two runs must be equal, which covers the
+helper's reuse too.  After the last line it names on stderr each CLI run
+that exited non-zero and exits 1, as equal lists prove nothing when a run
+fails on both paths; a run that raises stops it.  It also exits 1, naming
+the count, if more than that one helper is alive after the manifest.
 
 The manifest:
   * the three benchmark workload configs at seed 0, run as the benchmark
@@ -47,6 +50,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -284,7 +288,10 @@ def main(argv=None) -> int:
         print(f"{name}  {sha}")
     for entry, code in failed.items():
         print(f"failed run: {entry} exited {code}", file=sys.stderr)
-    return 1 if failed else 0
+    alive = len(multiprocessing.active_children())
+    if alive > 1:
+        print(f"{alive} child processes alive after the manifest; the helper is one", file=sys.stderr)
+    return 1 if failed or alive > 1 else 0
 
 
 if __name__ == "__main__":
