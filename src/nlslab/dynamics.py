@@ -21,10 +21,21 @@ boundary state from a copy, and the snapshots are bitwise the same with or
 without it.  `Schedule` computes the step plan once; `evolve` runs it,
 `count_steps` sums it, and `strang_step` is `evolve` over one step.
 
+Solutions disperse along rays x = t xi, so a box need only be as large as
+the config's at the end of a run.  `evolve` steps each snapshot interval
+on the smallest centred power-of-two crop of the config grid, at the
+config's dx, that holds the pair over that interval, by a rule measured
+from the interval's start state (`_box_n`); it grows the crop as the
+solution spreads, and hands out every state zero-padded to the config
+grid.  A run whose box starts at the config grid takes the config grid's
+operations throughout.
+
 Multiplying each equation by its conjugate and integrating gives the mass
 ledger d/dt (M1 + M2) = -4 * integral |u1|^2 |u2|^2 dx, which `evolve`
 monitors; a mass increase beyond round-off or any non-finite sample aborts
-the run, naming the step and time.
+the run, naming the step and time.  On a crop it also monitors the mass
+near the box's edges, so a box rule that lets the solution outgrow its
+crop aborts the run, naming the box as well.
 """
 
 from __future__ import annotations
@@ -81,6 +92,17 @@ DEFAULT_GROW_AFTER = T_ANCHOR
 DEFAULT_GROWTH_CAP = 0.05
 DEFAULT_T_FINAL = 400.0
 DEFAULT_SNAPSHOT_RATIO = 2.0**0.25
+
+# The box rule.  A sample or mode counts toward a reach while its modulus
+# exceeds BOX_CUT of its row's peak; a crop's half-width must exceed
+# BOX_MARGIN times the reach over an interval plus BOX_PAD_CELLS cells; no
+# crop is smaller than BOX_MIN_N points.  On a crop, the mass in the outer
+# eighth of the box at each end may not pass EDGE_BOUND of the pair's.
+BOX_CUT = 1e-13
+BOX_MARGIN = 4.0 / 3.0
+BOX_PAD_CELLS = 8
+BOX_MIN_N = 64
+EDGE_BOUND = 1e-20
 
 
 @dataclass(frozen=True)
@@ -380,21 +402,87 @@ def count_steps(schedule: Schedule) -> int:
     return sum(nsteps for _, _, nsteps, _ in schedule.plan)
 
 
+def _centred(rows: np.ndarray, n_box: int) -> np.ndarray:
+    """The centred n_box columns of rows, as a view."""
+    start = (rows.shape[-1] - n_box) // 2
+    return rows[..., start:start + n_box]
+
+
+def _reach(rows: np.ndarray, coords: np.ndarray) -> float:
+    """Largest |coord| at which some row's modulus exceeds BOX_CUT of that row's peak; 0 if none does."""
+    a = _abs2(rows)
+    held = a > (BOX_CUT * BOX_CUT) * a.max(axis=-1, keepdims=True)
+    return float(np.abs(coords)[held.any(axis=0)].max(initial=0.0))
+
+
+def _box_n(grid: Grid, box: Grid, values: np.ndarray, spec: np.ndarray, span: float) -> int:
+    """Points of the smallest centred crop of `grid` that holds the pair for `span` more time.
+
+    `values` and `spec` are the (2, box.n) pair and its FFT on `box`, a
+    centred crop of `grid` with its dx.  A wave packet moves at its
+    frequency, so the pair reaches |x| <= x_reach + span * xi_reach, each
+    reach taken at BOX_CUT; the crop's half-width must exceed BOX_MARGIN
+    times that plus BOX_PAD_CELLS cells.  The margin covers the spectrum's
+    widening by the coupling within one interval, which is why the reaches
+    are measured afresh at each interval's start.  A spectrum within the
+    margin of the grid's largest frequency pi/dx gets the whole grid: once
+    it reaches that edge, the free flow spreads small tails over the whole
+    box at once, not along rays.
+    """
+    xi_reach = _reach(spec, box._frequencies_fft_order)
+    if BOX_MARGIN * xi_reach >= np.pi / grid.dx:
+        return grid.n
+    half_width = BOX_MARGIN * (_reach(values, box.points) + span * xi_reach) + BOX_PAD_CELLS * grid.dx
+    n_box = min(BOX_MIN_N, grid.n)
+    while n_box < grid.n and 0.5 * n_box * grid.dx < half_width:
+        n_box *= 2
+    return n_box
+
+
+def _edge_share(rows: np.ndarray, strip: int, dx: float, total: float) -> float:
+    """Share of the pair's mass `total` in the first and last `strip` columns of rows; 0 if they hold none."""
+    edge = float(np.sum(_squared_norms(rows[:, :strip], dx) + _squared_norms(rows[:, -strip:], dx)))
+    return edge / total if edge else 0.0
+
+
+def _space_rows(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """The space-side (2, grid.n) rows of a spectrum held on a centred crop of `grid`, zero outside it."""
+    n_box = spec.shape[-1]
+    if n_box == grid.n:
+        return np.fft.ifft(spec)
+    # transformed straight into the padded array; an ifft with `out` on the
+    # whole grid was measured to leave a larger heap than a plain one
+    rows = np.zeros((2, grid.n), dtype=np.complex128)
+    np.fft.ifft(spec, out=_centred(rows, n_box))
+    return rows
+
+
 def evolve(state0: SystemState, schedule: Schedule, observer=None, on_snapshot=None) -> list[SystemState]:
     """Integrate from state0 along `schedule.plan`, returning the snapshots.
 
     state0 is the first snapshot, at t = 0.  Runs are deterministic:
     identical inputs reproduce outputs bitwise.  There is one loop.  It
-    holds both components as one stacked (2, n) spectrum, so each transform is a single FFT call for the pair, and it
-    reuses its work buffers.  A step is a free half-step multiplier, the
-    nonlinear substep between an inverse and a forward transform, and
-    another half-step.  Inside a snapshot interval the half-steps of
-    consecutive steps merge into one full-step multiplier: two transforms
-    per step, plus one per snapshot to return to space.  An observer never
-    changes the run: each step's boundary state is the spectrum times a
-    half-step, taken into the free work buffer and transformed back, so a
-    run with an observer costs three transforms per step and returns
-    bitwise the same snapshots as one without.
+    holds both components as one stacked (2, n) spectrum, so each transform
+    is a single FFT call for the pair, and it reuses its work buffers.  A
+    step is a free half-step multiplier, the nonlinear substep between an
+    inverse and a forward transform, and another half-step.  Inside a
+    snapshot interval the half-steps of consecutive steps merge into one
+    full-step multiplier: two transforms per step, plus one per snapshot to
+    return to space.  An observer never changes the run: each step's
+    boundary state is the spectrum times a half-step, taken into the free
+    work buffer and transformed back, so a run with an observer costs three
+    transforms per step and returns bitwise the same snapshots as one
+    without.
+
+    The loop's (2, n) pair lives on a box: a centred power-of-two crop of
+    the config grid with its dx.  Until the box is the config grid, each
+    interval starts by measuring the pair's x-reach and its spectrum's
+    xi-reach (`_box_n`); if the pair will outgrow the box over the
+    interval, its start state is zero-padded in space to the crop that
+    holds it and transformed again.  The box never shrinks.  Every state
+    handed out, to the observer, `on_snapshot` or the returned list, is
+    zero-padded to the config grid.  A run whose box starts at the config
+    grid takes the config grid's operations throughout.
 
     The observer is called once with state0 and once after every step.
     `on_snapshot` is called once with state0 and then with each snapshot as
@@ -403,22 +491,24 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None, on_snapshot=N
     whose masses overflow abort as step 0, before either sees them.  After
     every substep the masses are checked; the run aborts if a component's
     mass grows by more than 1e-10 of the initial total plus 4 L 2^-1074
-    (for subnormal masses) or any sample goes non-finite, and every abort
-    in the loop names the step index and the time it ended at.
+    (for subnormal masses) or any sample goes non-finite, and, on a crop,
+    if the mass in the outer strips of the box passes EDGE_BOUND of the
+    pair's, naming the box.  Every abort in the loop names the step index
+    and the time it ended at.
     """
     if state0.t > TIME_TOL:
         raise ValueError("initial state time must match the first snapshot time")
     g = state0.grid
-    u0 = state0.stacked()
+    u = state0.stacked()
     with np.errstate(over="ignore"):
-        m1, m2 = _squared_norms(u0, g.dx).tolist()
+        m1, m2 = _squared_norms(u, g.dx).tolist()
     if not (math.isfinite(m1) and math.isfinite(m2)):
         raise SimulationAbort(f"non-finite initial masses ({m1}, {m2}) at step 0, t = {state0.t:g}")
     # 1e-10 of a subnormal total underflows; there a mass's 2n squares round by
     # at most 2^-1075 each and sum exactly, so it is off by at most L 2^-1074
     tol = 1e-10 * (m1 + m2) + 4.0 * g.length * math.ulp(0.0)
-    spec = np.fft.fft(u0)
-    work = np.empty_like(spec)
+    box = g
+    spec = np.fft.fft(u)
     snapshots = [state0]
     if observer is not None:
         observer(state0)
@@ -426,8 +516,25 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None, on_snapshot=N
         on_snapshot(state0)
 
     step = 0
-    for t_a, t_b, nsteps, h in schedule.plan:
-        half = _free_multiplier(g, 0.5 * h)
+    for k, (t_a, t_b, nsteps, h) in enumerate(schedule.plan):
+        if k == 0 or box.n < g.n:
+            # `u` is the pair at t_a on the config grid, zero outside the box
+            n_box = _box_n(g, box, _centred(u, box.n), spec, t_b - t_a)
+            if k:
+                n_box = max(n_box, box.n)  # the box never shrinks
+            if n_box != box.n:
+                if k == 0:
+                    share = _edge_share(u, (g.n - n_box) // 2, g.dx, m1 + m2)
+                    if share > EDGE_BOUND:
+                        raise SimulationAbort(
+                            f"{share:.3g} of the mass lies outside the {n_box}-point box, "
+                            f"above {EDGE_BOUND:g}, at step 0, t = {state0.t:g}"
+                        )
+                box = Grid(n_box, n_box * g.dx)
+                spec = np.fft.fft(_centred(u, n_box))
+            work = np.empty_like(spec)
+        strip = box.n // 8 if box.n < g.n else 0
+        half = _free_multiplier(box, 0.5 * h)
         if nsteps > 1:
             full = half * half
         spec *= half
@@ -451,17 +558,24 @@ def evolve(state0: SystemState, schedule: Schedule, observer=None, on_snapshot=N
                         f"component mass increased beyond tolerance ({m1}->{new1}, {m2}->{new2})"
                     )
                 m1, m2 = new1, new2
+                if strip and (share := _edge_share(work, strip, g.dx, new1 + new2)) > EDGE_BOUND:
+                    raise SimulationAbort(
+                        f"{share:.3g} of the mass lies in the outer eighths of the {box.n}-point box, "
+                        f"above {EDGE_BOUND:g}"
+                    )
                 if last or observer is not None:
                     # an inner boundary state is read from a copy in `work`,
                     # so the spectrum the loop carries on is the same either way
                     boundary = np.multiply(spec, half, out=spec if last else work)
-                    state = SystemState(t, *_field_pair(g, np.fft.ifft(boundary), SPACE))
+                    rows = _space_rows(g, boundary)
+                    state = SystemState(t, *_field_pair(g, rows, SPACE))
                     if observer is not None:
                         observer(state)
             except SimulationAbort as err:
                 raise SimulationAbort(f"{err} at step {step}, t = {t}") from err
             if not last:
                 spec *= full
+        u = rows
         snapshots.append(state)
         if on_snapshot is not None:
             on_snapshot(state)

@@ -36,6 +36,27 @@ def assert_helpers_end():
     assert multiprocessing.active_children() == []
 
 
+def box_plan(monkeypatch, state0, schedule):
+    """Run `evolve` and return its box plan: (t, points) at the start and at each interval start where the box grew.
+
+    The plan is read off `dynamics._box_n`, the box rule, which `evolve`
+    asks at the start of every interval until the box is the whole grid.
+    """
+    from nlslab import dynamics, evolve
+
+    sizes = []
+    rule = dynamics._box_n
+    monkeypatch.setattr(dynamics, "_box_n", lambda *args: sizes.append(rule(*args)) or sizes[-1])
+    evolve(state0, schedule)
+    monkeypatch.setattr(dynamics, "_box_n", rule)
+    plan, box = [], 0
+    for (t_a, *_), n in zip(schedule.plan, sizes):
+        if n > box:
+            plan.append((t_a, n))
+            box = n
+    return plan
+
+
 @pytest.fixture
 def no_helper():
     """No helper before the test and none after it.

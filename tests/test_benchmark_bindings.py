@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import box_plan
 
 import nlslab
 import nlslab.cli
@@ -104,6 +105,21 @@ def test_workload_step_counts_are_pinned():
         cfg = parse_config(workloads.config_text(w, 0, "out"))
         steps[name] = nlslab.count_steps(_run_inputs(cfg, w.epsilon)[1])
     assert steps == {"case-bigbox": 223, "cli-evolve": 223, "profile-dense": 263}
+
+
+def test_workload_box_plans_are_pinned(monkeypatch):
+    # the box each workload's run steps on, and the times it grows: a change
+    # to the box rule moves every workload's wall time and must say so
+    workloads = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    plans = {}
+    for name, w in workloads.WORKLOADS.items():
+        _, schedule, _, _, state0 = _run_inputs(parse_config(workloads.config_text(w, 0, "out")), w.epsilon)
+        plans[name] = box_plan(monkeypatch, state0, schedule)
+    assert plans == {
+        "case-bigbox": [(0.0, 1024), (3.36, 2048), (8.0, 4096), (16.0, 8192), (32.0, 16384)],
+        "cli-evolve": [(0.0, 2048), (4.0, 4096)],
+        "profile-dense": [(0.0, 2048), (3.42, 4096), (pytest.approx(7.1, rel=1e-15), 8192)],
+    }
 
 
 def test_runner_checks_pass_on_a_small_case(runner):

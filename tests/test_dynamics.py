@@ -3,7 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from conftest import box_plan
+from hypothesis import example, given, settings, strategies as st
 
 from nlslab import (
     ComplexField,
@@ -164,16 +165,27 @@ class TestDecayKernelOverFloatRange:
 
 
 def _reference_strang_step(state, dt):
-    """Half-free / nonlinear / half-free on the stacked pair, written out step by step."""
-    half = _free_multiplier(state.grid, 0.5 * dt)
-    spec = np.fft.fft(state.stacked())
+    """Half-free / nonlinear / half-free on the stacked pair, written out step by step.
+
+    It steps on the centred crop of the state's grid that `evolve`'s box
+    rule picks, and zero-pads the result back to the full grid.  Returns
+    the end time, the (2, n) end state and the crop's size.
+    """
+    g = state.grid
+    u = state.stacked()
+    n_box = dynamics._box_n(g, g, u, np.fft.fft(u), dt)
+    start = (g.n - n_box) // 2
+    half = _free_multiplier(make_grid(n_box, n_box * g.dx), 0.5 * dt)
+    spec = np.fft.fft(u[:, start:start + n_box])
     spec *= half
     work = np.empty_like(spec)
     np.fft.ifft(spec, out=work)
     nonlinear_substep(work[0], work[1], dt, out=(work[0], work[1]))
     np.fft.fft(work, out=spec)
     spec *= half
-    return state.t + dt, np.fft.ifft(spec)
+    out = np.zeros_like(u)
+    out[:, start:start + n_box] = np.fft.ifft(spec)
+    return state.t + dt, out, n_box
 
 
 class TestStrangStep:
@@ -185,7 +197,10 @@ class TestStrangStep:
         psi2 = gaussian_profile(g, 0.5, 1.5, 1.0, -1.0)
         start = initial_state(g, psi1, psi2, 0.3)
         for state in (start, SystemState(1.37, start.u1, start.u2)):
-            t_ref, u_ref = _reference_strang_step(state, dt)
+            t_ref, u_ref, n_box = _reference_strang_step(state, dt)
+            # the two small grids step whole; n = 4096 steps on a crop of
+            # 1024 or 2048 points and is compared on all 4096
+            assert (n_box < n) == (n == 4096)
             out = strang_step(state, dt)
             assert out.t == t_ref
             assert np.array_equal(out.stacked(), u_ref)
@@ -466,6 +481,112 @@ class TestScheduleAndEvolve:
         snaps = evolve(initial_state(grid, unit_gaussian, unit_gaussian, 0.1), sched)
         assert abs(snaps[-1].t - 5.0) < 1e-12
         assert any(abs(s.t - 2.0) < 1e-9 for s in snaps)
+
+
+def _reference_evolve(state0, schedule):
+    """The (2, n) snapshots of `evolve`'s loop on the state's own grid, written out step by step."""
+    g = state0.grid
+    spec = np.fft.fft(state0.stacked())
+    work = np.empty_like(spec)
+    snapshots = [state0.stacked()]
+    for _, _, nsteps, h in schedule.plan:
+        half = _free_multiplier(g, 0.5 * h)
+        spec *= half
+        for s in range(nsteps):
+            np.fft.ifft(spec, out=work)
+            nonlinear_substep(work[0], work[1], h, out=(work[0], work[1]))
+            np.fft.fft(work, out=spec)
+            spec *= half if s == nsteps - 1 else half * half
+        snapshots.append(np.fft.ifft(spec))
+    return snapshots
+
+
+# (amplitude, centre as a fraction of L, width, carrier) of one Gaussian
+gaussians = st.tuples(
+    st.floats(0.1, 1.0), st.floats(-0.125, 0.125), st.floats(0.5, 3.0), st.floats(-4.0, 4.0)
+)
+
+
+def _gaussian_pair(n, p1, p2, eps):
+    g = make_grid(n, n / 8.0)
+    a1, c1, w1, k1 = p1
+    a2, c2, w2, k2 = p2
+    psi1 = gaussian_profile(g, a1, w1, c1 * g.length, k1)
+    psi2 = gaussian_profile(g, a2, w2, c2 * g.length, k2)
+    return initial_state(g, psi1, psi2, eps)
+
+
+class TestGrowingBox:
+    """`evolve` steps on a centred crop of the grid that grows with the solution."""
+
+    @pytest.mark.parametrize(
+        "n, length, profile", [(512, 64.0, (1.0, 1.0, 0.0, 0.0)), (256, 64.0, (1.0, 1.0, 1.0, 2.0))], ids=["B", "A"]
+    )
+    def test_a_run_on_the_whole_grid_is_the_written_out_loop_bitwise(self, monkeypatch, n, length, profile):
+        # a box that starts at the config grid takes the config grid's
+        # operations, with no trace of the crop machinery
+        g = make_grid(n, length)
+        amp, width, centre, k = profile
+        state0 = initial_state(g, gaussian_profile(g, amp, width, centre, k), gaussian_profile(g, 0.5, width, -centre, -k), 0.2)
+        schedule = make_schedule(t_final=20.0)
+        assert box_plan(monkeypatch, state0, schedule) == [(0.0, n)]
+        for snap, ref in zip(evolve(state0, schedule), _reference_evolve(state0, schedule), strict=True):
+            assert np.array_equal(snap.stacked(), ref)
+
+    def test_the_box_grows_and_every_state_is_on_the_config_grid(self, monkeypatch):
+        state0 = _gaussian_pair(4096, (1.0, 0.0, 1.0, 0.0), (0.5, 0.0, 1.0, 0.0), 0.2)
+        schedule = make_schedule(t_final=20.0)
+        assert box_plan(monkeypatch, state0, schedule) == [(0.0, 512), (2.0, 1024), (3.36, 2048), (6.72, 4096)]
+        seen = []
+        snaps = evolve(state0, schedule, seen.append)
+        assert {s.grid for s in snaps + seen} == {state0.grid}
+
+    def test_a_spectrum_at_the_grid_edge_gets_the_whole_grid(self, monkeypatch):
+        # a width-0.5 packet at dx = 0.25 reaches pi/dx at 1e-13 of its peak;
+        # on a crop the free flow spreads its tails over the whole box at
+        # once, which tripped the edge monitor at step 3 before the rule
+        # gave such spectra the whole grid
+        g = make_grid(1024, 256.0)
+        state0 = initial_state(g, gaussian_profile(g, 1.0, 1.0), gaussian_profile(g, 1.0, 0.5), 0.25)
+        assert box_plan(monkeypatch, state0, make_schedule(t_final=10.0)) == [(0.0, 1024)]
+
+    def test_a_box_that_stops_growing_aborts_naming_step_time_and_box(self, monkeypatch):
+        # the same run held to its first box, 512 points: the edge monitor
+        # stops it once the solution outgrows that box, after t = 2
+        state0 = _gaussian_pair(4096, (1.0, 0.0, 1.0, 0.0), (0.5, 0.0, 1.0, 0.0), 0.2)
+        monkeypatch.setattr(dynamics, "_box_n", lambda *args: 512)
+        pattern = r"^\S+ of the mass lies in the outer eighths of the 512-point box, above 1e-20 at step (\d+), t = (\S+)$"
+        with pytest.raises(SimulationAbort, match=pattern) as aborted:
+            evolve(state0, make_schedule(t_final=20.0))
+        step, t = re.search(pattern, str(aborted.value)).groups()
+        assert int(step) > 100 and float(t) > 2.0
+
+    @given(n=st.sampled_from([1024, 2048, 4096]), p1=gaussians, p2=gaussians, eps=st.floats(0.01, 0.3))
+    @example(n=4096, p1=(1.0, 0.0, 1.0, 0.0), p2=(0.5, 0.0, 1.0, 0.0), eps=0.3)
+    @settings(max_examples=10)
+    def test_cropped_runs_agree_with_the_whole_grid(self, n, p1, p2, eps):
+        # and a rerun, an observed run and the swapped run are bitwise the run
+        state0 = _gaussian_pair(n, p1, p2, eps)
+        schedule = make_schedule(t_final=10.0)
+        snaps = evolve(state0, schedule)  # the edge monitor never trips
+        with pytest.MonkeyPatch.context() as whole:
+            whole.setattr(dynamics, "_box_n", lambda grid, *rest: grid.n)
+            reference = evolve(state0, schedule)
+        peak = np.max(np.abs(state0.stacked()))
+        for snap, ref in zip(snaps, reference, strict=True):
+            assert np.max(np.abs(snap.stacked() - ref.stacked())) <= 1e-12 * peak
+        for snap, again in zip(snaps, evolve(state0, schedule)):
+            assert np.array_equal(snap.stacked(), again.stacked())
+        for snap, observed in zip(snaps, evolve(state0, schedule, lambda s: None), strict=True):
+            assert np.array_equal(snap.stacked(), observed.stacked())
+        swapped = evolve(SystemState(0.0, state0.u2, state0.u1), schedule)
+        for snap, swap in zip(snaps, swapped):
+            assert np.array_equal(snap.stacked(), swap.stacked()[::-1])
+        with pytest.MonkeyPatch.context() as small:
+            small.setattr(dynamics, "_box_n", lambda *args: dynamics.BOX_MIN_N)
+            pattern = r"of the mass lies (outside|in the outer eighths of) the 64-point box, above 1e-20,? at step \d+, t = \S+$"
+            with pytest.raises(SimulationAbort, match=pattern):
+                evolve(state0, schedule)
 
 
 class TestMassAndDissipation:

@@ -347,19 +347,25 @@ def test_propagator_group_property(grid, seed, s, t):
 # a warm call of one probe, then the minor page faults it took: the second
 # of 50 evolve steps at n = 16384 or of an in-process run_case at n = 4096,
 # or the third of a forked run_case at n = 4096, after the helper's fork
-# and the copy-on-write faults it leaves the second call
+# and the copy-on-write faults it leaves the second call.  The evolve
+# probe's packets are wide enough that its box is the whole grid, so every
+# step works on arrays of 16384 points; the probe exits 1 if it is not.
 _FAULT_PROBE = textwrap.dedent(
     """
     import resource
     import sys
     from dataclasses import replace
+    import numpy as np
     import nlslab
     if sys.argv[1] == "evolve":
         grid = nlslab.make_grid(16384, 2048.0)
-        psi1 = nlslab.gaussian_profile(grid, 1.0, 1.0)
-        psi2 = nlslab.gaussian_profile(grid, 0.5, 1.0)
+        psi1 = nlslab.gaussian_profile(grid, 1.0, 128.0)
+        psi2 = nlslab.gaussian_profile(grid, 0.5, 128.0)
         state0 = nlslab.initial_state(grid, psi1, psi2, 0.1)
         schedule = nlslab.make_schedule(dt=0.01, t_final=0.5)
+        u0 = state0.stacked()
+        if nlslab.dynamics._box_n(grid, grid, u0, np.fft.fft(u0), schedule.t_final) != grid.n:
+            sys.exit("the evolve probe's box is not the whole grid")
         probe = lambda: nlslab.evolve(state0, schedule)
     else:
         if sys.argv[1] == "run_case":

@@ -28,7 +28,9 @@ The manifest:
     `scenario` for each name and `verify`;
   * runs with an explicit `time.dt` or `Schedule`: the tests' tiny configs
     and criterion 04's fixed-step schedules.
-`--small` keeps Scenario B, its swap and the small CLI runs: `evolve` on
+`--small` keeps Scenario B, its swap, Scenario B on a box that `evolve`
+grows (n = 1024, L = 256, T = 20: a 512-point crop, then the whole grid)
+and the small CLI runs: `evolve` on
 the tiny config, `evolve` on the small `t = 5` config with both table sets
 and with each alone, and `mprofile`, `sweep` and `scenario B` on the small
 `t = 20` config (n = 256, L = 64, the default dt).  CI runs `--small` as
@@ -187,6 +189,7 @@ def manifest(small: bool = False, tree: str = ROOT) -> list:
     entries = [
         ("scenario-B", _run_case(b)),
         ("swap:scenario-B", _run_case(replace(b, psi1=b.psi2, psi2=b.psi1), swapped_back)),
+        ("scenario-B-growing-box", _run_case(replace(SCENARIO_B, grid_n=1024, grid_length=256.0, t_final=20.0))),
         ("evolve-tiny", _cli(["evolve"], TINY)),
         ("evolve-small", _cli(["evolve"], small_evolve)),
     ]
