@@ -147,11 +147,10 @@ def _cmd_mprofile(args: list[str]) -> int:
     if "mprofile" in cfg.tables:
         _write_mprofile(os.path.join(out, "mprofile.tsv"), case)
     if "classification" in cfg.tables:
-        tags = case.tags()
         write_table(
             os.path.join(out, "classification.tsv"),
             ["xi", "m_endpoint", "tag"],
-            zip(xi, case.m_end.m_values, tags.astype(np.float64)),
+            np.column_stack((xi, case.m_end.m_values, case.tags())),
         )
     r = case.record
     print(
@@ -194,7 +193,7 @@ def _write_mprofile(path: str, case) -> None:
     write_table(
         path,
         ["xi", "m_endpoint", "m_integral", "tail_estimate"],
-        zip(case.grid.frequencies, case.m_end.m_values, case.m_int.m_values, case.m_int.tail_estimate),
+        np.column_stack((case.grid.frequencies, case.m_end.m_values, case.m_int.m_values, case.m_int.tail_estimate)),
     )
 
 
@@ -210,7 +209,9 @@ def _cmd_scenario(args: list[str]) -> int:
     write_table(
         os.path.join(out, f"scenario_{name}_monitor.tsv"),
         ["t", "mass1", "mass2", "alpha2_norm", "orth_defect"],
-        zip(case.schedule.times, case.mass1_seq, case.mass2_seq, case.alpha2_norm_seq, case.orth_defect_seq),
+        np.column_stack(
+            (case.schedule.times, case.mass1_seq, case.mass2_seq, case.alpha2_norm_seq, case.orth_defect_seq)
+        ),
     )
     _write_mprofile(os.path.join(out, f"scenario_{name}_mprofile.tsv"), case)
     print(f"scenario {name} (eps = {case.epsilon:g}, T = {case.schedule.t_final:g})")

@@ -1,11 +1,18 @@
 """Tab-separated numeric tables with bitwise float round trip.
 
 Layout: one `# col1<TAB>col2...` header line, then one row per line, every
-value printed with 17 significant digits so parsing reproduces each double
-exactly.  Rows are streamed to the file as the writer supplies them, one
-fixed `%.17g` format per row and no copy of the whole table; row order is
-whatever the writer supplies (deterministic callers give deterministic
-files).
+value printed as `"%.17g" % value` prints it, 17 significant digits, so
+parsing reproduces each double exactly.  Row order is whatever the writer
+supplies (deterministic callers give deterministic files).
+
+Both writers, `write_table` and `block_formatter`, print through one
+formatter, `nlslab._formatter`, at most 4096 values at a time, so the text
+of a whole table is never held at once.  It prints a float64 array byte
+for byte as `%` does, without a Python call per value: it computes the 17
+digits in double-double arithmetic where it can be sure of them, and has
+`%` print the rest (nan, ±inf, the extremes and the near-ties) one at a
+time.  It is imported at the first table written, so `import nlslab` pays
+nothing for it.
 
 `open_table` is how every table is opened for writing, `write_table`'s
 included: a table is left whole or not at all, so a write that fails, or a
@@ -38,13 +45,15 @@ def _fmt(x: float) -> str:
 def write_table(path: str, header: list[str], rows) -> None:
     """Write a header-plus-rows table; empty rows give a header-only file.
 
-    Every row must hold exactly `len(header)` numbers: a row of any other
-    length does not fit the fixed row format and raises TypeError.  A write
+    `rows` is a 2-D numeric array or an iterable of rows of numbers.  Every
+    row must hold exactly `len(header)` numbers, and every value must be a
+    real number, as `%` requires: anything else raises TypeError.  A write
     that fails for any reason leaves no file.
     """
-    row_format = "\t".join([_NUMBER] * len(header)) + "\n"
+    from ._formatter import as_table, lines  # here, not at import, which every importer would pay for
+
     with open_table(path, header) as fh:
-        fh.writelines(row_format % tuple(row) for row in rows)
+        fh.writelines(lines(as_table(rows, len(header))))
 
 
 @contextlib.contextmanager
@@ -73,9 +82,9 @@ def open_table(path: str, header: list[str]):
 def block_formatter(x):
     """format_block(t, values) -> the rows (t, x[k], values[4k:4k+4]) as write_table writes them.
 
-    The strings of x are made once here and t's once per block; one `%`
-    call over the block's 4·len(x) values fills the rest.  It pickles as
-    x, not as its strings.
+    The cells of x are made once here and t's once per block; only the
+    block's 4·len(x) values are printed per block.  It pickles as x, not as
+    its cells.
     """
     return _BlockFormatter(x)
 
@@ -84,15 +93,20 @@ class _BlockFormatter:
     """`block_formatter`'s result."""
 
     def __init__(self, x):
+        from ._formatter import column
+
         self.x = x
-        self.tails = ["\t" + _NUMBER % xk + ("\t" + _NUMBER) * 4 + "\n" for xk in x.tolist()]
+        self.cells = column(x)
 
     def __reduce__(self):
         return type(self), (self.x,)
 
     def __call__(self, t: float, values) -> str:
-        ts = _NUMBER % t
-        return (ts + ts.join(self.tails)) % tuple(values.tolist())
+        from ._formatter import column, lines
+
+        t_cells = column([t])
+        t_cells = np.broadcast_to(t_cells, (len(self.cells), t_cells.shape[1]))
+        return "".join(lines(np.asarray(values, dtype=np.float64).reshape(-1, 4), (t_cells, self.cells)))
 
 
 def read_table(path: str) -> tuple[list[str], np.ndarray]:

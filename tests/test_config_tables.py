@@ -1,7 +1,12 @@
 import os
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlslab import (
     ConfigError,
@@ -14,8 +19,10 @@ from nlslab import (
     serialize_config,
     write_table,
 )
+import nlslab._formatter
 import nlslab.tables
 from nlslab.config import ZERO_PROFILE
+from nlslab._formatter import lines
 from nlslab.tables import block_formatter, open_table
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -232,6 +239,12 @@ class TestTables:
         assert header == ["x", "y"]
         assert rows.shape == (0, 2)
 
+    def test_empty_array_header_only(self, tmp_path):
+        path = str(tmp_path / "empty.tsv")
+        write_table(path, ["x", "y"], np.empty((0, 2)))
+        with open(path) as fh:
+            assert fh.read() == "# x\ty\n"
+
     @pytest.mark.parametrize("row", [(1.0, 2.0, 3.0), (1.0,)])
     def test_ragged_row_rejected_on_write(self, tmp_path, row):
         path = str(tmp_path / "ragged.tsv")
@@ -240,12 +253,52 @@ class TestTables:
         # the row before the ragged one is not left behind
         assert not os.path.exists(path)
 
+    def test_table_without_columns_rejected_on_write(self, tmp_path):
+        path = str(tmp_path / "none.tsv")
+        with pytest.raises(ValueError, match="at least one column"):
+            write_table(path, [], [(), ()])
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("rows", [np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2), np.zeros((2, 2, 1))])
+    def test_array_of_another_shape_rejected_on_write(self, tmp_path, rows):
+        path = str(tmp_path / "ragged.tsv")
+        with pytest.raises(TypeError):
+            write_table(path, ["a", "b"], rows)
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("value", ["1.5", "x", b"1.5", bytearray(b"1.5"), memoryview(b"1.5"), None, 1j, np.str_("2")])
+    def test_value_that_is_not_a_real_number_rejected_on_write(self, tmp_path, value):
+        # as `"%.17g" % value` rejects it: a number in a string is no number
+        with pytest.raises(TypeError):
+            "%.17g" % (value,)
+        path = str(tmp_path / "words.tsv")
+        with pytest.raises(TypeError):
+            write_table(path, ["a", "b"], [(0.5, 0.25), (value, 1.0)])
+        with pytest.raises(TypeError):
+            write_table(path, ["a", "b"], np.array([[0.5, 0.25], [value, 1.0]], dtype=object))
+        assert not os.path.exists(path)
+        if isinstance(value, str):  # a numpy array of strings too
+            with pytest.raises(TypeError):
+                write_table(path, ["a"], np.array([[value]]))
+            assert not os.path.exists(path)
+
+    def test_any_real_number_prints_as_percent_prints_it(self, tmp_path):
+        rows = [(True, 2**60 + 1, Fraction(1, 3), np.float32(0.1), np.int8(-7))]
+        arrays = [np.array([[2**60 + 1, -3]]), np.array([[True, False]]), np.array([[0.1, 1e-30]], dtype=np.float32)]
+        path = str(tmp_path / "numbers.tsv")
+        for table in [rows, *arrays]:
+            write_table(path, [str(j) for j in range(len(table[0]))], table)
+            expected = "".join("\t".join("%.17g" % x for x in row) + "\n" for row in table)
+            with open(path) as fh:
+                assert fh.read().split("\n", 1)[1] == expected
+
     def test_write_onto_a_full_disk_leaves_no_file(self, tmp_path, full_disk):
         full_disk(nlslab.tables)
         path = str(tmp_path / "full.tsv")
-        with pytest.raises(OSError, match="cannot write table .*No space left on device"):
-            write_table(path, ["a", "b"], [(0.5, 0.25)] * 3)
-        assert os.listdir(tmp_path) == []
+        for rows in ([(0.5, 0.25)] * 3, np.full((3000, 2), 0.5)):
+            with pytest.raises(OSError, match="cannot write table .*No space left on device"):
+                write_table(path, ["a", "b"], rows)
+            assert os.listdir(tmp_path) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_header_write_leaves_no_file(self, tmp_path, monkeypatch):
@@ -262,17 +315,36 @@ class TestTables:
         assert os.listdir(tmp_path) == []
 
     def test_block_formatter_matches_write_table(self, tmp_path, rng):
-        # reference: write_table's row-at-a-time format over the full six columns
-        x = rng.standard_normal(7)
+        # reference: `%` row by row over the full six columns, as write_table writes them
+        x = rng.standard_normal(700)
         x[0] = -0.0
-        blocks = [(1.0 / 3.0, rng.standard_normal(28)), (np.pi * 1e300, rng.standard_normal(28))]
+        x[1] = 2.0**-25  # a tie: printed by `%`
+        blocks = [(1.0 / 3.0, rng.standard_normal(2800)), (np.pi * 1e300, rng.standard_normal(2800))]
         blocks[1][1][:5] = [np.inf, -np.inf, np.nan, 5e-324, -0.0]
         path = str(tmp_path / "rows.tsv")
         rows = [(t, x[k], *v[4 * k : 4 * k + 4]) for t, v in blocks for k in range(len(x))]
         write_table(path, ["t", "x", "a", "b", "c", "d"], rows)
         format_block = block_formatter(x)
+        expected = "".join("\t".join(["%.17g"] * 6) % row + "\n" for row in rows)
         with open(path) as fh:
-            assert fh.read() == "# t\tx\ta\tb\tc\td\n" + "".join(format_block(t, v) for t, v in blocks)
+            assert fh.read() == "# t\tx\ta\tb\tc\td\n" + expected
+        assert "".join(format_block(t, v) for t, v in blocks) == expected
+
+    def test_formatting_a_block_holds_no_copy_of_it(self, rng):
+        # the formatter works on at most 4096 values at a time, and the block
+        # peaks at about 1.2 MB, its text included; unchunked, at about 9 MB
+        x = np.linspace(-128.0, 128.0, 4096, endpoint=False)
+        format_block = block_formatter(x)
+        values = rng.standard_normal(4 * len(x))
+        format_block(0.5, values)
+        tracemalloc.start()
+        try:
+            text = format_block(1.0 / 3.0, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 400_000
+        assert peak < 2_000_000
 
     def test_open_table_writes_the_header_before_any_row(self, tmp_path):
         path = str(tmp_path / "blocks.tsv")
@@ -314,3 +386,83 @@ class TestTables:
         with pytest.raises(OSError) as err:
             read_table(str(tmp_path / "absent.tsv"))
         assert "absent.tsv" in str(err.value)
+
+
+def _percent(table) -> str:
+    """The reference: `%` row by row."""
+    row = "\t".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join(row % tuple(values) for values in table.tolist())
+
+
+def _powers_of_ten():
+    """Every power of ten from 1e-300 to 1e300, as parsed and as computed, with both float neighbours of each."""
+    p = np.array([float(f"1e{k}") for k in range(-300, 301)] + [10.0**k for k in range(-300, 301)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+PINNED = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(np.float64).max, np.finfo(np.float64).tiny,
+    1e16, 1e17, 9.999999999999999e16, 1e-5, 9.9999999999999995e-5, 1e-4, 0.0001000000000000001,
+    1e-100, -1.2345678901234567e-150, 9.87e250, 1e-270, 1e270, 0.5, 1.0, 123.0, 1.0 / 3.0,
+    2.0**-25, 3 * 2.0**-25,  # exact ties at 17 digits, rounded to even: down, then up
+]
+
+
+class TestFormatter:
+    """The table formatter prints every float64 as `"%.17g" % value` does."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_raw_bit_patterns_print_as_percent(self, bits, k):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        table = np.resize(values, (-(-len(values) // k), k))
+        assert "".join(lines(table)) == _percent(table)
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_pinned_values_print_as_percent(self, k):
+        values = np.concatenate([PINNED, np.negative(PINNED), _powers_of_ten()])
+        table = np.resize(values, (-(-len(values) // k), k))
+        assert "".join(lines(table)) == _percent(table)
+
+    def test_notations_meet_where_percent_switches(self):
+        table = np.array([[1e-5, 9.9999999999999995e-5, 1e16, 1e17, 1e-100, -1.5e-150]])
+        assert "".join(lines(table)).split("\t") == [
+            "1.0000000000000001e-05", "9.9999999999999991e-05", "10000000000000000", "1e+17", "1e-100",
+            "-1.5000000000000001e-150\n",
+        ]
+
+    def test_values_it_cannot_be_sure_of_are_printed_by_percent(self, monkeypatch):
+        # the per-value fallback: nan, ±inf, values outside [1e-270, 1e270]
+        # and the 17-digit ties; zeros and the rest print without it
+        class Recording(str):
+            def __mod__(self, value):
+                self.seen.append(float(value))
+                return str.__mod__(self, value)
+
+        number = Recording("%.17g")
+        number.seen = []
+        monkeypatch.setattr(nlslab._formatter, "_NUMBER", number)
+        slow = [np.nan, np.inf, -np.inf, 5e-324, float(np.finfo(np.float64).max), 1e-300, 2.0**-25, 3 * 2.0**-25]
+        table = np.array([[1.5, 0.0, -0.0, 1e-270, *slow]])
+        assert "".join(lines(table)) == _percent(table)
+        assert repr(number.seen) == repr(slow)
+
+    def test_round_trip_through_a_table_is_bitwise(self, tmp_path, rng):
+        values = np.concatenate([PINNED, np.negative(PINNED), _powers_of_ten()])
+        values = np.concatenate([values, rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)])
+        table = np.resize(values, (-(-len(values) // 5), 5))
+        path = str(tmp_path / "values.tsv")
+        write_table(path, ["a", "b", "c", "d", "e"], table)
+        _, back = read_table(path)
+        nan = np.isnan(table)
+        # nan prints as 'nan', whatever its sign and payload
+        assert np.array_equal(np.isnan(back), nan)
+        assert np.array_equal(back[~nan].view(np.uint64), table[~nan].view(np.uint64))
+
+    def test_import_loads_no_formatter(self):
+        # it is imported at the first table written, so `import nlslab` compiles
+        # none of it and builds none of its tables
+        code = "import sys, nlslab, nlslab.cli; print('nlslab._formatter' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nlslab.tables.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"

@@ -33,8 +33,13 @@ grows (n = 1024, L = 256, T = 20: a 512-point crop, then the whole grid)
 and the small CLI runs: `evolve` on
 the tiny config, `evolve` on the small `t = 5` config with both table sets
 and with each alone, and `mprofile`, `sweep` and `scenario B` on the small
-`t = 20` config (n = 256, L = 64, the default dt).  CI runs `--small` as
-its check that forked and in-process runs write the same bytes.
+`t = 20` config (n = 256, L = 64, the default dt).  Two more `evolve` runs
+of the tiny config print the ends of the float range: at epsilon = 1e100
+its observer columns overflow to inf and warn, and at epsilon = 1e-150 its
+tables hold three-digit negative exponents and masses below 1e-270, so the
+table formatter's per-value fallback and its 3-digit layout are covered.
+CI runs `--small` as its check that forked and in-process runs write the
+same bytes.
 
 The second form runs the manifest in child processes on this tree and on
 TREE, each with this process's cores and under `taskset -c 0`, and lists
@@ -193,6 +198,8 @@ def manifest(small: bool = False, tree: str = ROOT) -> list:
         ("evolve-tiny", _cli(["evolve"], TINY)),
         ("evolve-small", _cli(["evolve"], small_evolve)),
     ]
+    for eps in ("1e100", "1e-150"):  # the float range's ends: overflow to inf, three-digit exponents
+        entries.append((f"evolve-tiny-eps-{eps}", _cli(["evolve"], TINY.replace("epsilon = 0.1", f"epsilon = {eps}"))))
     for tables in ("observers", "snapshots"):  # evolve-small writes both
         entries.append((f"evolve-small-{tables}", _cli(["evolve"], small_evolve + f"outputs.tables = {tables}\n")))
     entries += [(f"{name}-small", _cli([name], SMALL.format(t=20))) for name in ("mprofile", "sweep")]
